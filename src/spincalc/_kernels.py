@@ -1,10 +1,10 @@
-"""Exhaustive GF(2) enumeration kernels.
+"""Exhaustive GF(2) enumeration on packed bitsets.
 
-The all-forms sweeps (Gauss sums and zero counts for every quadratic form of
-a given genus) do 4^g * 4^g work and are the only hot loops in the package.
-They run through numba when it is importable, unless the environment variable
-SPINCALC_NO_NUMBA is set to 1/true/yes, in which case a blocked pure-numpy
-path is used.  Both paths produce identical arrays.
+A table of values over all 4^g vectors of the 2g-dimensional space is one
+Python int of 4^g bits: bit x is the value at vector x.  Tables of linear
+and quadratic functions are built for every vector at once from the
+coordinate masks C_j, whose bit x is bit j of x, so each vector is still
+evaluated and popcounts do the counting.
 
 All kernels assume the standard symplectic pairing on basis
 (a_1 .. a_g, b_1 .. b_g): bit i pairs with bit g + i.
@@ -12,132 +12,46 @@ All kernels assume the standard symplectic pairing on basis
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 
-import numpy as np
 
-_ENV_FLAG = "SPINCALC_NO_NUMBA"
-
-
-def _numba_requested() -> bool:
-    return os.environ.get(_ENV_FLAG, "").strip().lower() not in {"1", "true", "yes"}
-
-
-def _load_numba():
-    if not _numba_requested():
-        return None
-    try:
-        from numba import njit
-    except ImportError:
-        return None
-    return njit
-
-
-_njit = _load_numba()
-USING_NUMBA = _njit is not None
+@lru_cache(maxsize=None)
+def _coordinate_masks(n: int) -> tuple[int, ...]:
+    """C_0 .. C_{n-1} over the 2^n vectors: bit x of C_j is bit j of x."""
+    full = (1 << (1 << n)) - 1
+    masks = []
+    for j in range(n):
+        width = 1 << j
+        # blocks of `width` zeros under `width` ones, from bit 0 up to bit 2^n
+        masks.append(full // ((1 << (2 * width)) - 1) * (((1 << width) - 1) << width))
+    return tuple(masks)
 
 
 @lru_cache(maxsize=None)
-def parity_table(nbits: int) -> np.ndarray:
-    """uint8 array p with p[x] = popcount(x) mod 2 for 0 <= x < 2^nbits."""
-    table = np.zeros(1, dtype=np.uint8)
-    for _ in range(nbits):
-        table = np.concatenate([table, table ^ 1])
-    table.setflags(write=False)
-    return table
-
-@lru_cache(maxsize=None)
-def pair_part_table(g: int) -> np.ndarray:
-    """uint8 array q0 with q0[x] = sum_i x_{a_i} x_{b_i} mod 2.
+def _pair_part(g: int) -> int:
+    """Table of q0(x) = sum_i x_{a_i} x_{b_i} mod 2.
 
     This is the purely quadratic part of any form in the standard basis,
     shared by all forms of the same genus.
     """
-    x = np.arange(1 << (2 * g), dtype=np.uint32)
-    lo = x & ((1 << g) - 1)
-    hi = x >> g
-    table = parity_table(g)[lo & hi]
-    table.setflags(write=False)
+    masks = _coordinate_masks(2 * g)
+    table = 0
+    for i in range(g):
+        table ^= masks[i] & masks[g + i]
     return table
 
 
-def form_values(g: int, basis_values: int) -> np.ndarray:
-    """q(x) for every vector x, as a uint8 array of length 4^g."""
-    x = np.arange(1 << (2 * g), dtype=np.uint32)
-    linear = parity_table(2 * g)[x & np.uint32(basis_values)]
-    return linear ^ pair_part_table(g)
+def form_values(g: int, basis_values: int) -> int:
+    """q(x) for every vector x, packed as bit x of an int of 4^g bits."""
+    masks = _coordinate_masks(2 * g)
+    table = _pair_part(g)
+    for j in range(2 * g):
+        if (basis_values >> j) & 1:
+            table ^= masks[j]
+    return table
 
 
-def arf_additive_all(g: int) -> np.ndarray:
-    """Additive Arf invariant of every form bv: parity of bv_lo AND bv_hi."""
-    bv = np.arange(1 << (2 * g), dtype=np.uint32)
-    lo = bv & ((1 << g) - 1)
-    hi = bv >> g
-    return parity_table(g)[lo & hi]
-
-
-def _gauss_sums_numpy(g: int) -> np.ndarray:
-    n_forms = 1 << (2 * g)
-    x = np.arange(n_forms, dtype=np.uint32)
-    par = parity_table(2 * g)
-    q0 = pair_part_table(g)
-    out = np.empty(n_forms, dtype=np.int64)
-    block = max(1, (1 << 24) // n_forms)
-    for start in range(0, n_forms, block):
-        forms = x[start : start + block]
-        q = par[forms[:, None] & x[None, :]] ^ q0[None, :]
-        out[start : start + block] = n_forms - 2 * q.sum(axis=1, dtype=np.int64)
-    return out
-
-
-def _zero_counts_numpy(g: int) -> np.ndarray:
-    n_forms = 1 << (2 * g)
-    x = np.arange(n_forms, dtype=np.uint32)
-    par = parity_table(2 * g)
-    q0 = pair_part_table(g)
-    out = np.empty(n_forms, dtype=np.int64)
-    block = max(1, (1 << 24) // n_forms)
-    for start in range(0, n_forms, block):
-        forms = x[start : start + block]
-        q = par[forms[:, None] & x[None, :]] ^ q0[None, :]
-        out[start : start + block] = (q == 0).sum(axis=1, dtype=np.int64)
-    return out
-
-
-if USING_NUMBA:
-
-    @_njit(cache=False)
-    def _gauss_sums_jit(n_forms, par, q0):  # pragma: no cover - thin jit loop
-        out = np.empty(n_forms, dtype=np.int64)
-        for f in range(n_forms):
-            acc = 0
-            for x in range(n_forms):
-                acc += 1 - 2 * (par[x & f] ^ q0[x])
-            out[f] = acc
-        return out
-
-    @_njit(cache=False)
-    def _zero_counts_jit(n_forms, par, q0):  # pragma: no cover - thin jit loop
-        out = np.empty(n_forms, dtype=np.int64)
-        for f in range(n_forms):
-            acc = 0
-            for x in range(n_forms):
-                if par[x & f] ^ q0[x] == 0:
-                    acc += 1
-            out[f] = acc
-        return out
-
-
-def gauss_sums_all(g: int) -> np.ndarray:
-    """sum_x (-1)^{q(x)} for every form of genus g, indexed by basis values."""
-    if USING_NUMBA:
-        return _gauss_sums_jit(1 << (2 * g), parity_table(2 * g), pair_part_table(g))
-    return _gauss_sums_numpy(g)
-
-
-def zero_counts_all(g: int) -> np.ndarray:
-    """Number of zeros of every form of genus g, by direct enumeration."""
-    if USING_NUMBA:
-        return _zero_counts_jit(1 << (2 * g), parity_table(2 * g), pair_part_table(g))
-    return _zero_counts_numpy(g)
+def arf_additive_all(g: int) -> int:
+    """Additive Arf invariant of every form, packed: bit bv is the parity of
+    bv_lo AND bv_hi, which is the pair part evaluated at bv."""
+    return _pair_part(g)

@@ -159,16 +159,6 @@ def riemann_roch_dim(g: int, m: int) -> RiemannRochDim:
     return RiemannRochDim(g, m, values.pop())
 
 
-def _startup_overlap_check() -> None:
-    # every (g, m) in the reference box must be covered by agreeing rows
-    for g in range(0, 11):
-        for m in range(-10, 11):
-            riemann_roch_dim(g, m)
-
-
-_startup_overlap_check()
-
-
 def cokernel_dim(g: int, m: int) -> int:
     """dim coker dbar_{Lambda^m} = dim ker dbar_{Lambda^{1-m}} (Serre duality)."""
     return riemann_roch_dim(g, 1 - m).dimension

@@ -230,7 +230,7 @@ def arf_gauss(q: QuadraticForm, cap: int = DEFAULT_GENUS_CAP) -> ArfValue:
     _check_cap(q.g, cap)
     qq = normalize(q)
     values = _kernels.form_values(qq.g, qq.basis_values)
-    total = int(values.size - 2 * int(values.sum()))
+    total = (1 << qq.dim) - 2 * values.bit_count()
     if total == 1 << q.g:
         return ArfValue.from_multiplicative(1)
     if total == -(1 << q.g):
@@ -247,7 +247,7 @@ def count_zeros(q: QuadraticForm, cap: int = DEFAULT_GENUS_CAP) -> int:
     _check_cap(q.g, cap)
     qq = normalize(q)
     values = _kernels.form_values(qq.g, qq.basis_values)
-    return int((values == 0).sum())
+    return (1 << qq.dim) - values.bit_count()
 
 
 def _check_cap(g: int, cap: int) -> None:
@@ -274,10 +274,8 @@ def count_by_arf(g: int, cap: int = DEFAULT_GENUS_CAP) -> tuple[int, int]:
     if g < 1:
         raise DomainError("genus must be at least 1")
     _check_cap(g, cap)
-    additive = _kernels.arf_additive_all(g)
-    n_minus = int(additive.sum())
-    n_plus = int(additive.size - n_minus)
-    return n_plus, n_minus
+    n_minus = _kernels.arf_additive_all(g).bit_count()
+    return (1 << (2 * g)) - n_minus, n_minus
 
 
 def direct_sum(q1: QuadraticForm, q2: QuadraticForm) -> QuadraticForm:

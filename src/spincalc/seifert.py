@@ -458,25 +458,36 @@ def repspec_from_document(doc: dict) -> tuple[SeifertData, RepSpec]:
     if center == "trivial":
         scalar_exponent = None
     elif isinstance(center, dict) and "scalar_exponent" in center:
-        scalar_exponent = int(center["scalar_exponent"])
+        try:
+            scalar_exponent = int(center["scalar_exponent"])
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"scalar_exponent must be an integer: {exc}") from exc
     else:
         raise CentralBehaviorError(f"unsupported center description {center!r}")
     r_h = scalar_exponent or 0
     by_fiber = {}
     for raw in raw_profiles:
-        j = int(raw["fiber"])
+        if not isinstance(raw, dict):
+            raise DomainError(f"profile {raw!r} is not an object")
+        try:
+            j = int(raw["fiber"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DomainError(f"malformed fiber index in profile: {exc}") from exc
         if j < 1 or j > len(d.pairs):
             raise DomainError(f"fiber index {j} out of range")
         if j in by_fiber:
             raise DomainError(f"fiber {j} given twice")
-        if "s_values" in raw:
-            s_values = [_parse_rational(v) for v in raw["s_values"]]
-        elif "exponents" in raw:
-            s_values = s_from_exponents(
-                d.pairs[j - 1], big_n, r_h, raw["exponents"]
-            )
-        else:
-            raise DomainError(f"profile for fiber {j} has no eigenvalue data")
+        try:
+            if "s_values" in raw:
+                s_values = [_parse_rational(v) for v in raw["s_values"]]
+            elif "exponents" in raw:
+                s_values = s_from_exponents(
+                    d.pairs[j - 1], big_n, r_h, raw["exponents"]
+                )
+            else:
+                raise DomainError(f"profile for fiber {j} has no eigenvalue data")
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"malformed eigenvalue data for fiber {j}: {exc}") from exc
         by_fiber[j] = EigenvalueProfile(j, tuple(s_values))
     if sorted(by_fiber) != list(range(1, len(d.pairs) + 1)):
         raise DomainError("exactly one profile per fiber is required")

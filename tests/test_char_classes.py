@@ -169,6 +169,7 @@ def test_riemann_roch_rejects_negative_genus():
 
 
 def test_riemann_roch_index_identity_on_the_box():
+    # also the overlap check: every (g, m) here is covered by agreeing rows
     for g in range(0, 11):
         for m in range(-10, 11):
             assert serre_duality_check(g, m)

@@ -1,11 +1,14 @@
 """Tests for the command line interface."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
 
 import pytest
 
+import spincalc
 from spincalc.cli import main
 
 
@@ -272,3 +275,42 @@ def test_console_entry_point():
     )
     assert out.returncode == 0
     assert out.stdout == "-1/12 (order 12)\n"
+
+
+_TWO_DIM_BUNDLE = {"pairs": [[2, -1], [3, 1], [5, 1]], "N": 2, "center": "trivial"}
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"profiles": [1, 2, 3]},
+        {"center": {"scalar_exponent": "x"}, "profiles": []},
+        {"profiles": [{"s_values": ["0", "1"]}]},
+        {"profiles": [{"fiber": 1, "exponents": ["x", 1]}]},
+        {"profiles": [{"fiber": 1, "s_values": 5}]},
+    ],
+)
+def test_malformed_documents_exit_with_one(capsys, tmp_path, fields):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**_TWO_DIM_BUNDLE, **fields}))
+    code, out, err = run_cli(capsys, "einvariant", "--input", str(path))
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: DomainError")
+
+
+def test_cli_import_pulls_in_no_numeric_backend():
+    probe = (
+        "import sys, spincalc.cli; "
+        "print(sorted({'numpy', 'numba'} & set(sys.modules)))"
+    )
+    src = os.path.dirname(os.path.dirname(spincalc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout == "[]\n"

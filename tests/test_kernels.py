@@ -1,10 +1,5 @@
-"""Tests for the enumeration kernels and their backend selection."""
+"""Differential tests of the packed-bitset kernels against per-vector routes."""
 
-import os
-import subprocess
-import sys
-
-import numpy as np
 import pytest
 
 from spincalc import _kernels
@@ -12,82 +7,61 @@ from spincalc.f2_forms import QuadraticForm, arf_basis, eval_form
 
 
 def test_parity_table():
+    # bit x of C_j is bit j of x, so the XOR of all masks is popcount(x) mod 2
     for nbits in (0, 1, 5, 10):
-        table = _kernels.parity_table(nbits)
-        assert table.shape == (1 << nbits,)
-        for x in range(0, 1 << nbits, max(1, (1 << nbits) // 64)):
-            assert table[x] == x.bit_count() & 1
+        masks = _kernels._coordinate_masks(nbits)
+        assert len(masks) == nbits
+        parity = 0
+        for j, mask in enumerate(masks):
+            assert mask >> (1 << nbits) == 0
+            for x in range(1 << nbits):
+                assert (mask >> x) & 1 == (x >> j) & 1
+            parity ^= mask
+        for x in range(1 << nbits):
+            assert (parity >> x) & 1 == x.bit_count() & 1
 
 
 def test_parity_table_is_read_only():
-    with pytest.raises(ValueError):
-        _kernels.parity_table(4)[0] = 1
+    # the cache hands the same masks to every caller
+    with pytest.raises(TypeError):
+        _kernels._coordinate_masks(4)[0] = 1
 
 
 def test_pair_part_table():
     for g in (1, 2, 3):
-        table = _kernels.pair_part_table(g)
+        table = _kernels._pair_part(g)
         for x in range(1 << (2 * g)):
             lo = x & ((1 << g) - 1)
             hi = x >> g
-            assert table[x] == (lo & hi).bit_count() & 1
+            assert (table >> x) & 1 == (lo & hi).bit_count() & 1
 
 
 def test_form_values_match_pointwise_evaluation():
-    for g in (1, 2):
+    for g in (1, 2, 3):
         for bv in range(1 << (2 * g)):
             q = QuadraticForm(g, bv)
             values = _kernels.form_values(g, bv)
-            assert [eval_form(q, x) for x in range(1 << (2 * g))] == list(values)
+            assert values >> (1 << (2 * g)) == 0
+            for x in range(1 << (2 * g)):
+                assert (values >> x) & 1 == eval_form(q, x)
 
 
 def test_arf_additive_all_matches_basis_route():
     for g in (1, 2, 3):
         table = _kernels.arf_additive_all(g)
+        assert table >> (1 << (2 * g)) == 0
         for bv in range(1 << (2 * g)):
-            assert table[bv] == arf_basis(QuadraticForm(g, bv)).additive
+            assert (table >> bv) & 1 == arf_basis(QuadraticForm(g, bv)).additive
 
 
 def test_gauss_sums_and_zero_counts_are_linked():
     # the Gauss sum counts zeros with weight +1 and nonzeros with -1,
-    # so it equals 2 * zeros - 4^g
+    # so zeros = (4^g + S) / 2; the zeros are counted vector by vector
     for g in (1, 2, 3, 4):
         size = 1 << (2 * g)
-        gauss = _kernels.gauss_sums_all(g)
-        zeros = _kernels.zero_counts_all(g)
-        assert np.array_equal(gauss, 2 * zeros - size)
-        assert set(np.unique(gauss)) == {-(1 << g), 1 << g}
-
-
-def test_numpy_backend_agrees_with_active_backend():
-    for g in (1, 2, 3, 4):
-        assert np.array_equal(_kernels.gauss_sums_all(g), _kernels._gauss_sums_numpy(g))
-        assert np.array_equal(
-            _kernels.zero_counts_all(g), _kernels._zero_counts_numpy(g)
-        )
-
-
-@pytest.mark.skipif(not _kernels.USING_NUMBA, reason="numba backend inactive")
-def test_jit_backend_agrees_with_numpy():
-    for g in (1, 2, 3, 4, 5):
-        n = 1 << (2 * g)
-        par = _kernels.parity_table(2 * g)
-        q0 = _kernels.pair_part_table(g)
-        assert np.array_equal(
-            _kernels._gauss_sums_jit(n, par, q0), _kernels._gauss_sums_numpy(g)
-        )
-        assert np.array_equal(
-            _kernels._zero_counts_jit(n, par, q0), _kernels._zero_counts_numpy(g)
-        )
-
-
-def test_env_flag_disables_numba():
-    env = dict(os.environ, SPINCALC_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from spincalc import _kernels; print(_kernels.USING_NUMBA)"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "False"
+        for bv in range(size):
+            q = QuadraticForm(g, bv)
+            zeros = sum(1 for x in range(size) if eval_form(q, x) == 0)
+            gauss = size - 2 * _kernels.form_values(g, bv).bit_count()
+            assert gauss in (-(1 << g), 1 << g)
+            assert 2 * zeros == size + gauss
