@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -163,23 +164,27 @@ def _cmd_divisibility(args) -> None:
     )
 
 
-_KAPPA_FAMILIES = {
-    "sphere": char_classes.sphere_kappa,
-    "proj": char_classes.proj_bundle_kappa,
-    "hp": char_classes.hp_infinity_kappa,
-    "torus": char_classes.torus_kappa,
+# For each class and family: the function computing it and the ring it lives in.
+_CLASSES = {
+    "kappa": {
+        "sphere": (char_classes.sphere_kappa, "Z[p1]"),
+        "proj": (char_classes.proj_bundle_kappa, "Z[c1,c2]"),
+        "hp": (char_classes.hp_infinity_kappa, "Z[u]"),
+        "torus": (char_classes.torus_kappa, "Z[u]"),
+    },
+    "lambda": {
+        "sphere": (char_classes.sphere_lambda, "Z[c2,c3]/(2*c3)"),
+        "torus": (char_classes.torus_lambda, "Z[u]"),
+    },
 }
 
-_LAMBDA_FAMILIES = {
-    "sphere": char_classes.sphere_lambda,
-    "torus": char_classes.torus_lambda,
-}
 
-
-def _emit_polynomial(args, label: str, poly, ring: str) -> None:
+def _cmd_class(args) -> None:
+    compute, ring = _CLASSES[args.command][args.family]
+    poly = compute(args.n)
     _emit(
         args,
-        f"{label} = {poly.render()}",
+        f"{args.command}_{args.n} = {poly.render()}",
         {
             "family": args.family,
             "n": args.n,
@@ -188,23 +193,6 @@ def _emit_polynomial(args, label: str, poly, ring: str) -> None:
             "terms": poly.json_terms(),
         },
     )
-
-
-def _cmd_kappa(args) -> None:
-    poly = _KAPPA_FAMILIES[args.family](args.n)
-    rings = {
-        "sphere": "Z[p1]",
-        "proj": "Z[c1,c2]",
-        "hp": "Z[u]",
-        "torus": "Z[u]",
-    }
-    _emit_polynomial(args, f"kappa_{args.n}", poly, rings[args.family])
-
-
-def _cmd_lambda(args) -> None:
-    poly = _LAMBDA_FAMILIES[args.family](args.n)
-    ring = "Z[c2,c3]/(2*c3)" if args.family == "sphere" else "Z[u]"
-    _emit_polynomial(args, f"lambda_{args.n}", poly, ring)
 
 
 def _cmd_rr(args) -> None:
@@ -248,30 +236,6 @@ def _cmd_seifert_check(args) -> None:
     )
 
 
-def _result_doc(result: seifert.IcosahedralResult) -> dict:
-    return {
-        "example": result.example,
-        "pairs": [[a, b] for a, b in result.data.pairs],
-        "genus": result.fixed_points.genus,
-        "N": result.rep.dimension,
-        "center": "trivial"
-        if result.rep.scalar_exponent is None
-        else {"scalar_exponent": result.rep.scalar_exponent},
-        "fixed_points": list(result.fixed_points.counts),
-        "traces": list(result.fixed_points.traces()),
-        "profiles": [
-            {"fiber": p.fiber, "s_values": [str(s) for s in p.s_values]}
-            for p in result.rep.profiles
-        ],
-        "kind": result.kind,
-        "value": result.value.to_doc(),
-        "order": result.order,
-        "order_constraint": None
-        if result.order_constraint is None
-        else list(result.order_constraint),
-    }
-
-
 def _cmd_einvariant(args) -> None:
     if args.example is not None:
         result = seifert.icosahedral_example(args.example)
@@ -283,7 +247,7 @@ def _cmd_einvariant(args) -> None:
                 f"2*Re({result.rep.dimension}*e) = {result.value.legible()} "
                 f"(mod Z); order in {{{constraint}}}"
             )
-        _emit(args, human, _result_doc(result))
+        _emit(args, human, seifert.example_document(result))
         return
     doc = seifert.einvariant_document(_load_document(args.input))
     value = ModZ(Fraction(f"{doc['e_invariant']['residue']['num']}/"
@@ -406,13 +370,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", type=int, required=True)
     p.add_argument("--spin", action="store_true")
 
-    p = add("kappa", _cmd_kappa, "kappa class of a universal family")
-    p.add_argument("--family", choices=sorted(_KAPPA_FAMILIES), required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("lambda", _cmd_lambda, "index-theoretic lambda class")
-    p.add_argument("--family", choices=sorted(_LAMBDA_FAMILIES), required=True)
-    p.add_argument("--n", type=int, required=True)
+    for name, help_text in (
+        ("kappa", "kappa class of a universal family"),
+        ("lambda", "index-theoretic lambda class"),
+    ):
+        p = add(name, _cmd_class, help_text)
+        p.add_argument("--family", choices=sorted(_CLASSES[name]), required=True)
+        p.add_argument("--n", type=int, required=True)
 
     p = add("rr", _cmd_rr, "Riemann-Roch kernel dimension")
     p.add_argument("--genus", type=int, required=True)
@@ -442,8 +406,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
+        sys.stdout.flush()
     except SpincalcError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader went away.  Point stdout at devnull so that the flush
+        # at interpreter exit cannot raise a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
         return 1
     return 0
 

@@ -41,6 +41,14 @@ def standard_gram(g: int) -> tuple[int, ...]:
     return tuple(rows)
 
 
+def _standard_pair(g: int, x: int, y: int) -> int:
+    """x.y under the standard pairing, which couples bit i with bit g + i."""
+    lo = (1 << g) - 1
+    crossings = ((x & lo) & (y >> g)).bit_count()
+    crossings += ((y & lo) & (x >> g)).bit_count()
+    return crossings & 1
+
+
 def _gram_pair(gram: tuple[int, ...], x: int, y: int) -> int:
     acc = 0
     i = 0
@@ -139,10 +147,7 @@ class QuadraticForm:
     def pair(self, x: int, y: int) -> int:
         """The underlying symplectic pairing x.y."""
         if self.is_standard:
-            lo = (1 << self.g) - 1
-            crossings = ((x & lo) & (y >> self.g)).bit_count()
-            crossings += ((y & lo) & (x >> self.g)).bit_count()
-            return crossings & 1
+            return _standard_pair(self.g, x, y)
         return _gram_pair(self.gram, x, y)
 
 
@@ -306,11 +311,10 @@ def apply_map(cols: tuple[int, ...], x: int) -> int:
 
 def is_symplectic(g: int, cols: tuple[int, ...]) -> bool:
     """Does the map preserve the standard pairing on all basis pairs."""
-    probe = QuadraticForm(g, 0)
     n = 2 * g
     for i in range(n):
         for j in range(i + 1, n):
-            if probe.pair(cols[i], cols[j]) != probe.pair(1 << i, 1 << j):
+            if _standard_pair(g, cols[i], cols[j]) != _standard_pair(g, 1 << i, 1 << j):
                 return False
     return True
 
@@ -329,18 +333,14 @@ def symplectic_group(g: int) -> tuple[tuple[int, ...], ...]:
         i = len(cols)
         for v in range(1, 1 << n):
             ok = True
-            probe = _STANDARD_PROBE[g]
             for j in range(i):
-                if probe.pair(cols[j], v) != probe.pair(1 << j, 1 << i):
+                if _standard_pair(g, cols[j], v) != _standard_pair(g, 1 << j, 1 << i):
                     ok = False
                     break
             if ok:
                 build(cols + [v])
     build([])
     return tuple(members)
-
-
-_STANDARD_PROBE = {1: QuadraticForm(1, 0), 2: QuadraticForm(2, 0)}
 
 
 def forms_isomorphic(
@@ -373,18 +373,17 @@ def forms_isomorphic(
     raise InvalidFormError("equal Arf invariants but no witness found")
 
 
-def random_symplectic(g: int, rng: random.Random, twists: int | None = None):
+def random_symplectic(g: int, rng: random.Random):
     """A pseudo-random element of Sp(2g, F2), as a product of transvections.
 
     Each transvection T_v(x) = x + (x.v) v preserves the pairing, so any
     product does.
     """
     n = 2 * g
-    probe = QuadraticForm(g, 0)
     cols = [1 << i for i in range(n)]
-    for _ in range(twists if twists is not None else 3 * n):
+    for _ in range(3 * n):
         v = rng.randrange(1, 1 << n)
-        cols = [c ^ (v if probe.pair(c, v) else 0) for c in cols]
+        cols = [c ^ (v if _standard_pair(g, c, v) else 0) for c in cols]
     return tuple(cols)
 
 

@@ -205,15 +205,9 @@ class RestrictionProfile:
 
 
 def regular_restriction_profile(m: int) -> RestrictionProfile:
+    """Closed form, m in (2, 3, 5): the doubled pullback character is 120 on
+    the center and 0 elsewhere, so each eigenvalue exponent has 120/m copies."""
     if m not in (2, 3, 5):
         raise DomainError("cyclic restriction order must be 2, 3, or 5")
-    x = next(g for g in enumerate_group() if element_order(g) == 2 * m)
-    for k in range(2 * m):
-        value = doubled_pullback_regular_character(power(x, k))
-        expected = 120 if power(x, k) in (IDENTITY, MINUS_IDENTITY) else 0
-        if value != expected:
-            raise DomainError(
-                f"restriction character mismatch at power {k}: {value} != {expected}"
-            )
     copies = 120 // m
     return RestrictionProfile(m, copies, {j: copies for j in range(m)})

@@ -202,8 +202,8 @@ def s_from_exponents(
 ) -> list[Fraction]:
     """s-parameters from eigenvalue exponents: s = (t + b r_h) / N.
 
-    Each exponent is a residue mod N a_j; t is its representative in
-    [0, N a_j).  The result is exact and may be non-integral, in which case
+    Each exponent is an integer, read as a residue mod N a_j; t is its
+    representative in [0, N a_j).  The result is exact and may be non-integral, in which case
     it records an eigenvalue outside the integral-lift convention.
     """
     a, b = pair
@@ -212,7 +212,7 @@ def s_from_exponents(
     modulus = big_n * a
     out = []
     for e in exponents:
-        t = int(e) % modulus
+        t = _json_int(e) % modulus
         out.append(Fraction(t + b * scalar_exponent, big_n))
     return out
 
@@ -245,31 +245,19 @@ def multiplicity_solve(
     if not exps:
         raise DomainError("allowed exponent set is empty")
 
-    # Variables are conjugation orbits when the reality flag is set; an
-    # allowed exponent whose conjugate is excluded is forced to zero.
-    variables: list[tuple[tuple[int, ...], bool]] = []
+    # With the reality flag the unknowns are the conjugation orbits that lie
+    # inside the allowed set; an allowed exponent whose conjugate is excluded
+    # belongs to no unknown and keeps multiplicity 0.
     if real:
-        seen = set()
-        for e in exps:
-            if e in seen:
-                continue
-            conj = (-e) % m
-            if conj == e:
-                variables.append(((e,), False))
-                seen.add(e)
-            elif conj in exps:
-                variables.append(((e, conj), False))
-                seen.update((e, conj))
-            else:
-                variables.append(((e,), True))
-                seen.add(e)
+        variables = sorted(
+            {tuple(sorted({e, (-e) % m})) for e in exps if (-e) % m in exps}
+        )
     else:
-        variables = [((e,), False) for e in exps]
+        variables = [(e,) for e in exps]
 
     bound = 1
-    for members, forced_zero in variables:
-        if not forced_zero:
-            bound *= dimension // len(members) + 1
+    for members in variables:
+        bound *= dimension // len(members) + 1
         if bound > _SOLVE_CAP:
             raise EnumerationCapError("multiplicity search space too large")
 
@@ -281,9 +269,8 @@ def multiplicity_solve(
             if remaining == 0 and cyclotomic.element(m, counts) == target:
                 solutions.append(tuple(counts.get(e, 0) for e in exps))
             return
-        members, forced_zero = variables[idx]
-        top = 0 if forced_zero else remaining // len(members)
-        for mu in range(top + 1):
+        members = variables[idx]
+        for mu in range(remaining // len(members) + 1):
             for e in members:
                 counts[e] = mu
             search(idx + 1, remaining - mu * len(members), counts)
@@ -349,6 +336,22 @@ def _fiber_eigenvalue_structure(
     return m, tuple(sorted(exp_of_s)), exp_of_s
 
 
+def _profile(fiber: int, multiplicities: dict[int, int]) -> EigenvalueProfile:
+    """The profile with each integral s repeated by its multiplicity, s ascending."""
+    s_values = []
+    for s in sorted(multiplicities):
+        s_values.extend([Fraction(s)] * multiplicities[s])
+    return EigenvalueProfile(fiber, tuple(s_values))
+
+
+def _evaluate(d: SeifertData, rep: RepSpec) -> tuple[str, ModZ]:
+    """The applicable e-formula: e itself for a trivial center ("e"), and
+    2 Re(N e) for a scalar central action ("two_re_times_n_e")."""
+    if rep.scalar_exponent is None:
+        return "e", e_simple(d, rep)
+    return "two_re_times_n_e", e_general(d, rep)
+
+
 def icosahedral_example(k: int) -> IcosahedralResult:
     """The worked flat bundles on the Poincare sphere, from canned holonomy
     data: genus and fixed-point counts of the three exceptional holonomies,
@@ -370,20 +373,12 @@ def icosahedral_example(k: int) -> IcosahedralResult:
         m, allowed, exp_of_s = _fiber_eigenvalue_structure((a, b), big_n, r_h)
         mus = multiplicity_solve(m, big_n, lefschetz_trace(f_count), allowed)
         mu_by_exp = dict(zip(allowed, mus))
-        s_values = []
-        for s in range(a):
-            s_values.extend([Fraction(s)] * mu_by_exp[exp_of_s[s]])
-        profiles.append(EigenvalueProfile(j, tuple(s_values)))
+        profiles.append(_profile(j, {s: mu_by_exp[exp_of_s[s]] for s in range(a)}))
     rep = RepSpec(big_n, ex.scalar_exponent, tuple(profiles))
-    if ex.scalar_exponent is None:
-        value = e_simple(d, rep)
-        return IcosahedralResult(
-            k, d, fp, rep, "e", value, order_in_pi3(value), None
-        )
-    value = e_general(d, rep)
-    return IcosahedralResult(
-        k, d, fp, rep, "two_re_times_n_e", value, None, ex.order_constraint
-    )
+    kind, value = _evaluate(d, rep)
+    if kind == "e":
+        return IcosahedralResult(k, d, fp, rep, kind, value, order_in_pi3(value), None)
+    return IcosahedralResult(k, d, fp, rep, kind, value, None, ex.order_constraint)
 
 
 def regular_increment() -> ModZ:
@@ -395,10 +390,7 @@ def regular_increment() -> ModZ:
     profiles = []
     for j, (a, _) in enumerate(POINCARE.pairs, start=1):
         rp = icosa_group.regular_restriction_profile(a)
-        s_values = []
-        for exp in sorted(rp.exponent_multiplicities):
-            s_values.extend([Fraction(exp)] * rp.exponent_multiplicities[exp])
-        profiles.append(EigenvalueProfile(j, tuple(s_values)))
+        profiles.append(_profile(j, rp.exponent_multiplicities))
     rep = RepSpec(120, None, tuple(profiles))
     return e_simple(POINCARE, rep)
 
@@ -416,6 +408,13 @@ def order_in_pi3(value: ModZ) -> int:
     return value.order(cap=24)
 
 
+def _json_int(value) -> int:
+    """An integer field: a JSON integer, so no float, bool or string."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def _parse_rational(text) -> Fraction:
     try:
         return Fraction(str(text))
@@ -425,7 +424,7 @@ def _parse_rational(text) -> Fraction:
 
 def seifert_data_from_document(doc: dict) -> SeifertData:
     try:
-        pairs = tuple((int(a), int(b)) for a, b in doc["pairs"])
+        pairs = tuple((_json_int(a), _json_int(b)) for a, b in doc["pairs"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidSeifertDataError(f"malformed pairs: {exc}") from exc
     return SeifertData(pairs)
@@ -450,7 +449,7 @@ def repspec_from_document(doc: dict) -> tuple[SeifertData, RepSpec]:
     """
     d = seifert_data_from_document(doc)
     try:
-        big_n = int(doc["N"])
+        big_n = _json_int(doc["N"])
         center = doc["center"]
         raw_profiles = list(doc["profiles"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -459,7 +458,7 @@ def repspec_from_document(doc: dict) -> tuple[SeifertData, RepSpec]:
         scalar_exponent = None
     elif isinstance(center, dict) and "scalar_exponent" in center:
         try:
-            scalar_exponent = int(center["scalar_exponent"])
+            scalar_exponent = _json_int(center["scalar_exponent"])
         except (TypeError, ValueError) as exc:
             raise DomainError(f"scalar_exponent must be an integer: {exc}") from exc
     else:
@@ -470,7 +469,7 @@ def repspec_from_document(doc: dict) -> tuple[SeifertData, RepSpec]:
         if not isinstance(raw, dict):
             raise DomainError(f"profile {raw!r} is not an object")
         try:
-            j = int(raw["fiber"])
+            j = _json_int(raw["fiber"])
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed fiber index in profile: {exc}") from exc
         if j < 1 or j > len(d.pairs):
@@ -495,6 +494,42 @@ def repspec_from_document(doc: dict) -> tuple[SeifertData, RepSpec]:
     return d, RepSpec(big_n, scalar_exponent, profiles)
 
 
+def _rep_fields(rep: RepSpec) -> tuple[str | dict, list[dict]]:
+    """The "center" and "profiles" fields of both flat-bundle documents."""
+    center = (
+        "trivial"
+        if rep.scalar_exponent is None
+        else {"scalar_exponent": rep.scalar_exponent}
+    )
+    profiles = [
+        {"fiber": p.fiber, "s_values": [str(s) for s in p.s_values]}
+        for p in rep.profiles
+    ]
+    return center, profiles
+
+
+def example_document(result: IcosahedralResult) -> dict:
+    """A worked example as a JSON document: its holonomy data, the profiles
+    as s-values, the value, and its order or the candidate orders."""
+    center, profiles = _rep_fields(result.rep)
+    return {
+        "example": result.example,
+        "pairs": [[a, b] for a, b in result.data.pairs],
+        "genus": result.fixed_points.genus,
+        "N": result.rep.dimension,
+        "center": center,
+        "fixed_points": list(result.fixed_points.counts),
+        "traces": list(result.fixed_points.traces()),
+        "profiles": profiles,
+        "kind": result.kind,
+        "value": result.value.to_doc(),
+        "order": result.order,
+        "order_constraint": None
+        if result.order_constraint is None
+        else list(result.order_constraint),
+    }
+
+
 def einvariant_document(doc: dict) -> dict:
     """Evaluate the applicable e-formula on a flat-bundle document.
 
@@ -502,26 +537,17 @@ def einvariant_document(doc: dict) -> dict:
     plus the computed value and, when it is 24-torsion, its order.
     """
     d, rep = repspec_from_document(doc)
-    if rep.scalar_exponent is None:
-        kind = "e"
-        value = e_simple(d, rep)
-    else:
-        kind = "two_re_times_n_e"
-        value = e_general(d, rep)
+    kind, value = _evaluate(d, rep)
     try:
         order = order_in_pi3(value)
     except TorsionBoundError:
         order = None
+    center, profiles = _rep_fields(rep)
     return {
         "pairs": [[a, b] for a, b in d.pairs],
         "N": rep.dimension,
-        "center": "trivial"
-        if rep.scalar_exponent is None
-        else {"scalar_exponent": rep.scalar_exponent},
-        "profiles": [
-            {"fiber": p.fiber, "s_values": [str(s) for s in p.s_values]}
-            for p in rep.profiles
-        ],
+        "center": center,
+        "profiles": profiles,
         "kind": kind,
         "e_invariant": value.to_doc(),
         "order": order,

@@ -1,12 +1,17 @@
 """Tests for the command line interface."""
 
+import contextlib
+import io
 import json
 import os
+import pathlib
+import shlex
 import shutil
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spincalc
 from spincalc.cli import main
@@ -299,18 +304,183 @@ def test_malformed_documents_exit_with_one(capsys, tmp_path, fields):
     assert len(err.splitlines()) == 1 and err.startswith("error: DomainError")
 
 
+def _src_env():
+    src = os.path.dirname(os.path.dirname(spincalc.__file__))
+    return dict(os.environ, PYTHONPATH=src)
+
+
 def test_cli_import_pulls_in_no_numeric_backend():
     probe = (
         "import sys, spincalc.cli; "
         "print(sorted({'numpy', 'numba'} & set(sys.modules)))"
     )
-    src = os.path.dirname(os.path.dirname(spincalc.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", probe],
-        env=env,
+        env=_src_env(),
         capture_output=True,
         text=True,
         check=True,
     )
     assert out.stdout == "[]\n"
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "spincalc.cli", "einvariant", "--example", "1",
+             "--json"],
+            env=_src_env(),
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert (out.returncode, out.stderr) == (1, "")
+
+
+def _readme_examples():
+    """(arguments, stdout) for each `$ spincalc` line of the README that is
+    followed by output."""
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    examples = []
+    for i, line in enumerate(lines):
+        if not line.startswith("$ spincalc "):
+            continue
+        output = []
+        for follow in lines[i + 1:]:
+            if not follow or follow.startswith("```"):
+                break
+            output.append(follow)
+        if output:
+            examples.append((line[len("$ spincalc "):], "\n".join(output) + "\n"))
+    return examples
+
+
+_README_EXAMPLES = _readme_examples()
+
+
+@pytest.mark.parametrize(
+    "arguments, expected", _README_EXAMPLES, ids=[a for a, _ in _README_EXAMPLES]
+)
+def test_readme_examples(capsys, arguments, expected):
+    assert run_cli(capsys, *shlex.split(arguments)) == (0, expected, "")
+
+
+_README_BUNDLE = {
+    "pairs": [[2, -1], [3, 1], [5, 1]],
+    "N": 18,
+    "center": "trivial",
+    "profiles": [
+        {"fiber": 1, "s_values": ["0"] * 8 + ["1"] * 10},
+        {"fiber": 2, "exponents": [0] * 6 + [18] * 6 + [36] * 6},
+        {"fiber": 3, "exponents": [0] * 2 + [18] * 4 + [36] * 4 + [54] * 4 + [72] * 4},
+    ],
+}
+
+_SCALAR_BUNDLE = {
+    "pairs": [[2, -1], [3, 1], [5, 1]],
+    "N": 4,
+    "center": {"scalar_exponent": 2},
+    "profiles": [
+        {"fiber": 1, "s_values": ["0", "1/2", "1", "3/2"]},
+        {"fiber": 2, "exponents": [0, 4, 8, 1]},
+        {"fiber": 3, "s_values": ["0", "1", "2", "7/3"]},
+    ],
+}
+
+_POINCARE_PAIRS = {"pairs": [[2, -1], [3, 1], [5, 1]]}
+
+
+@pytest.mark.parametrize(
+    "command, document, error",
+    [
+        ("einvariant", {**_README_BUNDLE, "N": 18.9}, "DomainError"),
+        ("einvariant", {**_README_BUNDLE, "N": "18"}, "DomainError"),
+        (
+            "seifert-check",
+            {"pairs": [[2, -1], [3, 1], [5, 1.5]]},
+            "InvalidSeifertDataError",
+        ),
+        (
+            "einvariant",
+            {
+                **_README_BUNDLE,
+                "N": True,
+                "profiles": [{"fiber": j, "s_values": ["0"]} for j in (1, 2, 3)],
+            },
+            "DomainError",
+        ),
+    ],
+)
+def test_integer_fields_must_be_json_integers(
+    capsys, tmp_path, command, document, error
+):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run_cli(capsys, command, "--input", str(path))
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {error}: ")
+
+
+def _paths(node, prefix=()):
+    """Every position in a JSON document, the root included."""
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    copy = json.loads(json.dumps(doc))
+    node = copy
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return copy
+
+
+_FUZZ_TARGETS = [
+    (command, doc, path)
+    for command, doc in (
+        ("einvariant", _README_BUNDLE),
+        ("einvariant", _SCALAR_BUNDLE),
+        ("seifert-check", _POINCARE_PAIRS),
+    )
+    for path in _paths(doc)
+]
+
+# Integers stay small so that no document asks for a large computation.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(target=st.sampled_from(_FUZZ_TARGETS), value=_JSON_VALUES)
+def test_document_parsers_exit_cleanly(tmp_path_factory, target, value):
+    command, doc, path = target
+    file = tmp_path_factory.getbasetemp() / "fuzz.json"
+    file.write_text(json.dumps(_replaced(doc, path, value)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--input", str(file)])
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert (code, out.getvalue()) == (1, "")
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -123,6 +123,14 @@ def test_fixed_cosets_and_regular_character():
 
 def test_regular_restriction_profiles():
     for m, copies in ((2, 60), (3, 40), (5, 24)):
+        # second route to the closed form: on the powers of an element of
+        # order 2m the doubled pullback character is 120 at the center
+        # (x^0 and x^m) and 0 elsewhere, so each character of the order-m
+        # quotient occurs (120 + 120) / 2m = 120/m times
+        x = next(g for g in enumerate_group() if element_order(g) == 2 * m)
+        values = [doubled_pullback_regular_character(power(x, k)) for k in range(2 * m)]
+        assert values == [120 if k % m == 0 else 0 for k in range(2 * m)]
+        assert sum(values) // (2 * m) == copies
         profile = regular_restriction_profile(m)
         assert profile.order == m
         assert profile.copies == copies
