@@ -221,7 +221,8 @@ def _load_document(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise SpincalcError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # Bad syntax, bytes that are not UTF-8, or nesting past the recursion limit.
+    except (ValueError, RecursionError) as exc:
         raise SpincalcError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -404,6 +405,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Exact answers print in full: lift the 4,300-digit int/str cap that
+    # Python has had since 3.10.7 (older releases have no cap and no setter).
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         args.func(args)
         sys.stdout.flush()

@@ -163,7 +163,7 @@ class ModZ:
 
     @classmethod
     def of(cls, value: Fraction | int | str) -> "ModZ":
-        return cls(Fraction(value) % 1)
+        return cls(value)
 
     @property
     def alias(self) -> Fraction | None:
@@ -176,31 +176,30 @@ class ModZ:
         return None
 
     def __add__(self, other: "ModZ") -> "ModZ":
-        return ModZ((self.residue + other.residue) % 1)
+        return ModZ(self.residue + other.residue)
 
     def __sub__(self, other: "ModZ") -> "ModZ":
-        return ModZ((self.residue - other.residue) % 1)
+        return ModZ(self.residue - other.residue)
 
     def __mul__(self, n: int) -> "ModZ":
         if not isinstance(n, int):
             return NotImplemented
-        return ModZ((n * self.residue) % 1)
+        return ModZ(n * self.residue)
 
     __rmul__ = __mul__
 
     def order(self, cap: int = 24) -> int:
-        """Least positive m <= cap with m * self integral.
+        """Least positive m with m * self integral: the denominator q of the
+        residue p/q in lowest terms.
 
-        Raises TorsionBoundError when no such m exists; the residue of a
-        reduced fraction p/q has order exactly q, so this happens exactly
-        when q > cap.
+        Raises TorsionBoundError when q > cap.
         """
-        for m in range(1, cap + 1):
-            if (m * self.residue).denominator == 1:
-                return m
-        raise TorsionBoundError(
-            f"{self.residue} is not annihilated by any integer up to {cap}"
-        )
+        order = self.residue.denominator
+        if order > cap:
+            raise TorsionBoundError(
+                f"{self.residue} is not annihilated by any integer up to {cap}"
+            )
+        return order
 
     def legible(self) -> Fraction:
         """The representative used for display: the alias when it exists."""

@@ -17,7 +17,6 @@ enumeration here is authoritative).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -59,19 +58,6 @@ def _gram_pair(gram: tuple[int, ...], x: int, y: int) -> int:
         xx >>= 1
         i += 1
     return acc
-
-
-def _gram_rank(gram: tuple[int, ...]) -> int:
-    rows = list(gram)
-    rank = 0
-    for bit in range(len(gram)):
-        pivot = next((r for r in rows if (r >> bit) & 1), None)
-        if pivot is None:
-            continue
-        rows.remove(pivot)
-        rows = [r ^ pivot if (r >> bit) & 1 else r for r in rows]
-        rank += 1
-    return rank
 
 
 @dataclass(frozen=True)
@@ -131,8 +117,8 @@ class QuadraticForm:
                 for j in range(i + 1, n)
             ):
                 raise InvalidFormError("pairing must be symmetric")
-            if _gram_rank(self.gram) != n:
-                raise DegeneratePairingError("pairing is degenerate")
+            # Raises DegeneratePairingError when the pairing has a radical.
+            symplectic_basis(self.gram)
             if self.gram == standard_gram(self.g):
                 object.__setattr__(self, "gram", None)
 
@@ -218,12 +204,23 @@ def normalize(q: QuadraticForm) -> QuadraticForm:
     return QuadraticForm(q.g, bv)
 
 
+def _halves(q: QuadraticForm) -> tuple[int, int]:
+    """(q(a_1..a_g), q(b_1..b_g)) as two g-bit masks, in a symplectic basis."""
+    qq = normalize(q)
+    return qq.basis_values & ((1 << qq.g) - 1), qq.basis_values >> qq.g
+
+
 def arf_basis(q: QuadraticForm) -> ArfValue:
     """Arf invariant as sum_i q(a_i) q(b_i) over a symplectic basis."""
-    qq = normalize(q)
-    lo = qq.basis_values & ((1 << qq.g) - 1)
-    hi = qq.basis_values >> qq.g
+    lo, hi = _halves(q)
     return ArfValue.from_additive((lo & hi).bit_count() & 1)
+
+
+def _value_table(q: QuadraticForm, cap: int) -> int:
+    """The 4^g-bit table whose bit x is q(x), in a symplectic basis."""
+    _check_cap(q.g, cap)
+    qq = normalize(q)
+    return _kernels.form_values(qq.g, qq.basis_values)
 
 
 def arf_gauss(q: QuadraticForm, cap: int = DEFAULT_GENUS_CAP) -> ArfValue:
@@ -232,10 +229,7 @@ def arf_gauss(q: QuadraticForm, cap: int = DEFAULT_GENUS_CAP) -> ArfValue:
     The sum is computed by exhaustive enumeration and must come out as
     +-2^g; anything else means the input was not a quadratic refinement.
     """
-    _check_cap(q.g, cap)
-    qq = normalize(q)
-    values = _kernels.form_values(qq.g, qq.basis_values)
-    total = (1 << qq.dim) - 2 * values.bit_count()
+    total = (1 << q.dim) - 2 * _value_table(q, cap).bit_count()
     if total == 1 << q.g:
         return ArfValue.from_multiplicative(1)
     if total == -(1 << q.g):
@@ -249,10 +243,7 @@ def count_zeros(q: QuadraticForm, cap: int = DEFAULT_GENUS_CAP) -> int:
     Always 2^{g-1} (2^g + arf(q)) with arf multiplicative: the three even
     forms at g = 1 have 3 zeros each and the odd form has 1.
     """
-    _check_cap(q.g, cap)
-    qq = normalize(q)
-    values = _kernels.form_values(qq.g, qq.basis_values)
-    return (1 << qq.dim) - values.bit_count()
+    return (1 << q.dim) - _value_table(q, cap).bit_count()
 
 
 def _check_cap(g: int, cap: int) -> None:
@@ -285,16 +276,11 @@ def count_by_arf(g: int, cap: int = DEFAULT_GENUS_CAP) -> tuple[int, int]:
 
 def direct_sum(q1: QuadraticForm, q2: QuadraticForm) -> QuadraticForm:
     """Orthogonal direct sum, with the two bases concatenated blockwise."""
-    p, r = normalize(q1), normalize(q2)
-    g = p.g + r.g
-    bv = 0
-    for i in range(p.g):
-        bv |= ((p.basis_values >> i) & 1) << i
-        bv |= ((p.basis_values >> (p.g + i)) & 1) << (g + i)
-    for i in range(r.g):
-        bv |= ((r.basis_values >> i) & 1) << (p.g + i)
-        bv |= ((r.basis_values >> (r.g + i)) & 1) << (g + p.g + i)
-    return QuadraticForm(g, bv)
+    (p_lo, p_hi), (r_lo, r_hi) = _halves(q1), _halves(q2)
+    lo = p_lo | r_lo << q1.g
+    hi = p_hi | r_hi << q1.g
+    g = q1.g + q2.g
+    return QuadraticForm(g, lo | hi << g)
 
 
 def apply_map(cols: tuple[int, ...], x: int) -> int:
@@ -392,15 +378,6 @@ def form_to_doc(q: QuadraticForm) -> dict:
     qq = normalize(q)
     bits = "".join(str((qq.basis_values >> i) & 1) for i in range(2 * qq.g))
     return {"g": qq.g, "basis_values": bits}
-
-
-def form_from_doc(doc: dict) -> QuadraticForm:
-    try:
-        g = int(doc["g"])
-        bits = str(doc["basis_values"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidFormError(f"malformed form document: {exc}") from exc
-    return form_from_bitstring(g, bits)
 
 
 def form_from_bitstring(g: int, bits: str) -> QuadraticForm:

@@ -21,6 +21,7 @@ and for a general scalar central action the computable quantity is
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -415,11 +416,21 @@ def _json_int(value) -> int:
     return value
 
 
-def _parse_rational(text) -> Fraction:
+# Fraction() alone would also take decimals and exponents such as "1e3000000",
+# whose exact value can take minutes to build.
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _parse_rational(value) -> Fraction:
+    """An s-value: a JSON integer, or a string p or p/q of decimal digits."""
+    if not isinstance(value, str):
+        return Fraction(_json_int(value))
+    if not _RATIONAL.fullmatch(value):
+        raise DomainError(f"bad rational {value!r}: expected p or p/q")
     try:
-        return Fraction(str(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"bad rational {text!r}: {exc}") from exc
+        return Fraction(value)
+    except ZeroDivisionError as exc:
+        raise DomainError(f"bad rational {value!r}: {exc}") from exc
 
 
 def seifert_data_from_document(doc: dict) -> SeifertData:
@@ -445,7 +456,8 @@ def repspec_from_document(doc: dict) -> tuple[SeifertData, RepSpec]:
 
     Expected fields: pairs, N, center ("trivial" or {"scalar_exponent": r}),
     and one profile per fiber, each {"fiber": j, "s_values": [rationals]} or
-    {"fiber": j, "exponents": [integers]}.
+    {"fiber": j, "exponents": [integers]}.  A rational is a JSON integer or a
+    string p or p/q of decimal digits, p optionally signed.
     """
     d = seifert_data_from_document(doc)
     try:
@@ -478,6 +490,8 @@ def repspec_from_document(doc: dict) -> tuple[SeifertData, RepSpec]:
             raise DomainError(f"fiber {j} given twice")
         try:
             if "s_values" in raw:
+                if not isinstance(raw["s_values"], list):
+                    raise TypeError(f"s_values must be a list, got {raw['s_values']!r}")
                 s_values = [_parse_rational(v) for v in raw["s_values"]]
             elif "exponents" in raw:
                 s_values = s_from_exponents(

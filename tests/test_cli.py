@@ -9,12 +9,14 @@ import shlex
 import shutil
 import subprocess
 import sys
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import spincalc
-from spincalc.cli import main
+from spincalc.cli import _CLASSES, main
 
 
 def run_cli(capsys, *argv):
@@ -235,7 +237,7 @@ def test_icosa_verify(capsys):
     assert doc["regular_restrictions"]["5"]["copies"] == 24
 
 
-def test_domain_errors_exit_with_one(capsys):
+def test_domain_errors_exit_with_one(capsys, tmp_path):
     code, out, err = run_cli(capsys, "bernoulli", "--k", "0")
     assert code == 1
     assert out == ""
@@ -243,6 +245,15 @@ def test_domain_errors_exit_with_one(capsys):
     code, _, err = run_cli(capsys, "seifert-check", "--input", "/no/such/file")
     assert code == 1
     assert "cannot read" in err
+    for name, text in (
+        ("latin1.json", b'{"pairs": [[2, -1], [3, 1], [5, 1]]}\xff'),
+        ("deep.json", b"[" * 100000 + b"]" * 100000),
+    ):
+        path = tmp_path / name
+        path.write_bytes(text)
+        code, out, err = run_cli(capsys, "seifert-check", "--input", str(path))
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and "is not valid JSON" in err
 
 
 def test_usage_errors_exit_with_two(capsys):
@@ -293,15 +304,44 @@ _TWO_DIM_BUNDLE = {"pairs": [[2, -1], [3, 1], [5, 1]], "N": 2, "center": "trivia
         {"profiles": [{"s_values": ["0", "1"]}]},
         {"profiles": [{"fiber": 1, "exponents": ["x", 1]}]},
         {"profiles": [{"fiber": 1, "s_values": 5}]},
+        # Fraction() would build 10^3000000 exactly before failing
+        {
+            "N": 1,
+            "profiles": [{"fiber": j, "s_values": ["1e3000000"]} for j in (1, 2, 3)],
+        },
+        {"N": 4, "profiles": [{"fiber": j, "s_values": "0101"} for j in (1, 2, 3)]},
+        {"profiles": [{"fiber": j, "s_values": ["0", "1.5"]} for j in (1, 2, 3)]},
+        {"profiles": [{"fiber": j, "s_values": ["0", 0.5]} for j in (1, 2, 3)]},
+        {"profiles": [{"fiber": j, "s_values": ["0", True]} for j in (1, 2, 3)]},
     ],
 )
 def test_malformed_documents_exit_with_one(capsys, tmp_path, fields):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({**_TWO_DIM_BUNDLE, **fields}))
+    start = time.perf_counter()
     code, out, err = run_cli(capsys, "einvariant", "--input", str(path))
+    assert time.perf_counter() - start < 1
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: DomainError")
+
+
+def test_s_values_accept_integers_and_digit_fractions(capsys, tmp_path):
+    s_values = ["-3/4", "7", 2]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({
+        "pairs": [[2, -1], [3, 1], [5, 1]],
+        "N": 3,
+        "center": "trivial",
+        "profiles": [{"fiber": j, "s_values": s_values} for j in (1, 2, 3)],
+    }))
+    doc = run_json(capsys, "einvariant", "--input", str(path))
+    s = [Fraction(v) for v in s_values]
+    e = -sum(Fraction(30) * x * x / (2 * a * a) for a in (2, 3, 5) for x in s) % 1
+    assert doc["profiles"][0]["s_values"] == ["-3/4", "7", "2"]
+    assert doc["e_invariant"]["residue"] == {
+        "num": str(e.numerator), "den": str(e.denominator)
+    }
 
 
 def _src_env():
@@ -339,6 +379,65 @@ def test_closed_stdout_pipe_exits_quietly():
     finally:
         os.close(write_end)
     assert (out.returncode, out.stderr) == (1, "")
+
+
+@pytest.fixture
+def long_int_strings():
+    """Lift the 4,300-digit int/str limit in the test process, to write and
+    check long numbers; the CLI under test runs in a fresh process."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # no limit before 3.10.7
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def _run_cli_process(tmp_path, document, *argv):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document))
+    return subprocess.run(
+        [sys.executable, "-m", "spincalc.cli", *argv, "--input", str(path)],
+        env=_src_env(),
+        capture_output=True,
+        text=True,
+    )
+
+
+def test_long_pair_entries_print_in_full(tmp_path, long_int_strings):
+    b = 10**4999 + 1
+    out = _run_cli_process(
+        tmp_path, {"pairs": [[2, -1], [3, 1], [5, b]]}, "seifert-check"
+    )
+    obstruction = 30 * (Fraction(-1, 2) + Fraction(1, 3) + Fraction(b, 5))
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout == (
+        f"obstruction a*sum(b/a) = {obstruction}; integral homology sphere: no\n"
+    )
+
+
+def test_long_e_invariants_print_in_full(tmp_path, long_int_strings):
+    s = "1/" + "7" * 4000
+    document = {
+        "pairs": [[2, -1], [3, 1], [5, 1]],
+        "N": 1,
+        "center": "trivial",
+        "profiles": [
+            {"fiber": 1, "s_values": [s]},
+            {"fiber": 2, "s_values": ["0"]},
+            {"fiber": 3, "s_values": ["0"]},
+        ],
+    }
+    out = _run_cli_process(tmp_path, document, "einvariant", "--json")
+    e = -(30 * Fraction(s) ** 2 / 8) % 1
+    assert (out.returncode, out.stderr) == (0, "")
+    doc = json.loads(out.stdout)
+    assert len(doc["e_invariant"]["residue"]["den"]) > 4300
+    assert doc["e_invariant"]["residue"] == {
+        "num": str(e.numerator), "den": str(e.denominator)
+    }
+    assert doc["order"] is None
 
 
 def _readme_examples():
@@ -469,18 +568,76 @@ _JSON_VALUES = st.recursive(
 )
 
 
-@settings(max_examples=200, deadline=None)
-@given(target=st.sampled_from(_FUZZ_TARGETS), value=_JSON_VALUES)
-def test_document_parsers_exit_cleanly(tmp_path_factory, target, value):
-    command, doc, path = target
-    file = tmp_path_factory.getbasetemp() / "fuzz.json"
-    file.write_text(json.dumps(_replaced(doc, path, value)))
+def _assert_exits_cleanly(argv):
+    """Exit 0 with nothing on stderr, or exit 1 with nothing on stdout and
+    one `error:` line on stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command, "--input", str(file)])
+        code = main(argv)
     if code == 0:
         assert err.getvalue() == ""
     else:
         assert (code, out.getvalue()) == (1, "")
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@settings(max_examples=200, deadline=None)
+@given(target=st.sampled_from(_FUZZ_TARGETS), value=_JSON_VALUES)
+def test_document_parsers_exit_cleanly(tmp_path_factory, target, value):
+    command, doc, path = target
+    file = tmp_path_factory.getbasetemp() / "fuzz.json"
+    file.write_text(json.dumps(_replaced(doc, path, value)))
+    _assert_exits_cleanly([command, "--input", str(file)])
+
+
+_SUBCOMMANDS = [
+    "arf", "forms", "zeros", "bernoulli", "vonstaudt", "divisibility",
+    "kappa", "lambda", "rr", "einvariant", "stabilize", "icosa",
+]
+
+
+@st.composite
+def _subcommand_argv(draw):
+    """Arguments that argparse accepts, for every subcommand but the two
+    that read documents.  Sizes stay small so that each call is quick."""
+    command = draw(st.sampled_from(_SUBCOMMANDS))
+
+    def number(flag, lo, hi):
+        return [flag, str(draw(st.integers(lo, hi)))]
+
+    argv = [command]
+    if command in ("arf", "zeros"):
+        argv += number("--g", -2, 9)
+        argv += ["--basis-values", draw(st.text(alphabet="01x", max_size=20))]
+    elif command == "forms":
+        g = draw(st.integers(-2, 9))
+        argv += ["--g", str(g)]
+        if g <= 4 and draw(st.booleans()):
+            argv.append("--list")
+    elif command in ("bernoulli", "vonstaudt"):
+        argv += number("--k", -3, 40)
+    elif command == "divisibility":
+        argv += number("--index", -3, 40)
+        if draw(st.booleans()):
+            argv.append("--spin")
+    elif command in ("kappa", "lambda"):
+        argv += ["--family", draw(st.sampled_from(sorted(_CLASSES[command])))]
+        argv += number("--n", -3, 40)
+    elif command == "rr":
+        argv += number("--genus", -2, 12) + number("--power", -12, 12)
+    elif command == "einvariant":
+        argv += ["--example", draw(st.sampled_from(["1", "2", "3"]))]
+    elif command == "stabilize":
+        argv += number("--n", -3, 40)
+    else:
+        argv.append(draw(st.sampled_from(["--census", "--verify"])))
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_subcommand_argv())
+def test_subcommand_arguments_exit_cleanly(argv):
+    _assert_exits_cleanly(argv)

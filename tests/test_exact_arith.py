@@ -187,6 +187,22 @@ def test_modz_order():
     with pytest.raises(TorsionBoundError):
         ModZ.of(Fraction(1, 25)).order()
     assert ModZ.of(Fraction(1, 25)).order(cap=50) == 25
+    # against the definition: the least m <= cap with m * r integral
+    for cap in (24, 50):
+        for q in range(1, 61):
+            for p in range(q):
+                r = ModZ.of(Fraction(p, q))
+                least = next(
+                    (m for m in range(1, cap + 1) if (m * r.residue).denominator == 1),
+                    None,
+                )
+                if least is not None:
+                    assert r.order(cap) == least
+                    continue
+                message = f"{r.residue} is not annihilated by any integer up to {cap}"
+                with pytest.raises(TorsionBoundError) as info:
+                    r.order(cap)
+                assert str(info.value) == message
 
 
 def test_serialization_helpers():

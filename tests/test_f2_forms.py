@@ -25,7 +25,6 @@ from spincalc.f2_forms import (
     enumerate_forms,
     eval_form,
     form_from_bitstring,
-    form_from_doc,
     form_to_doc,
     forms_isomorphic,
     is_symplectic,
@@ -163,6 +162,21 @@ def embed_second(g1, g2, y):
     return ((y & ((1 << g2) - 1)) << g1) | ((y >> g2) << (2 * g1 + g2))
 
 
+def interleaved(q1, q2):
+    """Basis values of q1 + q2, copied bit by bit: a-coordinates of q1 then
+    q2, followed by b-coordinates of q1 then q2."""
+    g1, g2 = q1.g, q2.g
+    g = g1 + g2
+    bv = 0
+    for i in range(g1):
+        bv |= ((q1.basis_values >> i) & 1) << i
+        bv |= ((q1.basis_values >> (g1 + i)) & 1) << (g + i)
+    for i in range(g2):
+        bv |= ((q2.basis_values >> i) & 1) << (g1 + i)
+        bv |= ((q2.basis_values >> (g2 + i)) & 1) << (g + g1 + i)
+    return bv
+
+
 def test_direct_sum_embeds_both_summands():
     for g1 in (1, 2):
         for g2 in (1, 2):
@@ -172,6 +186,7 @@ def test_direct_sum_embeds_both_summands():
                     q2 = QuadraticForm(g2, bv2)
                     q = direct_sum(q1, q2)
                     assert q.g == g1 + g2
+                    assert q.basis_values == interleaved(q1, q2)
                     for x in range(1 << (2 * g1)):
                         for y in range(1 << (2 * g2)):
                             ex = embed_first(g1, g2, x)
@@ -240,21 +255,26 @@ def test_forms_isomorphic_witness_cap():
         forms_isomorphic(q, q, witness=True)
 
 
+def f2_rank(rows):
+    """Rank over F2 of the matrix with the given bitmask rows, by elimination."""
+    rows = list(rows)
+    rank = 0
+    for bit in range(len(rows)):
+        pivot = next((r for r in rows if (r >> bit) & 1), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        rows = [r ^ pivot if (r >> bit) & 1 else r for r in rows]
+        rank += 1
+    return rank
+
+
 def random_invertible(g, rng):
     """An invertible (not necessarily symplectic) matrix over F2."""
     n = 2 * g
     while True:
         cols = tuple(rng.randrange(1, 1 << n) for _ in range(n))
-        rows = list(cols)
-        rank = 0
-        for bit in range(n):
-            pivot = next((r for r in rows if (r >> bit) & 1), None)
-            if pivot is None:
-                continue
-            rows.remove(pivot)
-            rows = [r ^ pivot if (r >> bit) & 1 else r for r in rows]
-            rank += 1
-        if rank == n:
+        if f2_rank(cols) == n:
             return cols
 
 
@@ -307,6 +327,43 @@ def test_symplectic_basis_rejects_degenerate_pairings():
         symplectic_basis((2, 1, 0))
 
 
+def alternating_gram(n, upper):
+    """The alternating symmetric n x n Gram rows whose entries above the
+    diagonal, read row by row, are the bits of upper."""
+    rows = [0] * n
+    k = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (upper >> k) & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            k += 1
+    return tuple(rows)
+
+
+def test_gram_forms_are_rejected_exactly_when_degenerate():
+    # every pairing with 2 and 4 rows, and seeded random ones with 6 and 8
+    rng = random.Random(2024)
+    grams = [
+        alternating_gram(n, u) for n in (2, 4) for u in range(1 << (n * (n - 1) // 2))
+    ]
+    grams += [
+        alternating_gram(n, rng.getrandbits(n * (n - 1) // 2))
+        for n in (6, 8)
+        for _ in range(1000)
+    ]
+    degenerate = 0
+    for gram in grams:
+        n = len(gram)
+        if f2_rank(gram) < n:
+            degenerate += 1
+            with pytest.raises(DegeneratePairingError):
+                QuadraticForm(n // 2, 0, gram=gram)
+        else:
+            assert QuadraticForm(n // 2, 0, gram=gram).g == n // 2
+    assert 0 < degenerate < len(grams)
+
+
 def test_normalize_preserves_the_form():
     rng = random.Random(5)
     for g in (1, 2, 3):
@@ -342,15 +399,13 @@ def test_serialization_round_trip():
             doc = form_to_doc(q)
             assert doc["g"] == g
             assert len(doc["basis_values"]) == 2 * g
-            assert form_from_doc(doc) == q
+            assert form_from_bitstring(g, doc["basis_values"]) == q
     assert form_from_bitstring(1, "11") == QuadraticForm(1, 3)
     assert form_from_bitstring(2, "0010") == QuadraticForm(2, 4)
     with pytest.raises(InvalidFormError):
         form_from_bitstring(1, "111")
     with pytest.raises(InvalidFormError):
         form_from_bitstring(1, "1x")
-    with pytest.raises(InvalidFormError):
-        form_from_doc({"g": 1})
 
 
 def test_form_to_doc_normalizes_first():
@@ -359,4 +414,4 @@ def test_form_to_doc_normalizes_first():
     gram = conjugated_gram(2, cols)
     q = QuadraticForm(2, 9, gram=gram)
     doc = form_to_doc(q)
-    assert form_from_doc(doc) == normalize(q)
+    assert form_from_bitstring(doc["g"], doc["basis_values"]) == normalize(q)
