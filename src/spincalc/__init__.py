@@ -7,143 +7,90 @@ flat bundles over Seifert fibered integral homology spheres, all in exact
 arithmetic.
 """
 
-from .errors import (
-    CentralBehaviorError,
-    DegeneratePairingError,
-    DimensionMismatchError,
-    DomainError,
-    EnumerationCapError,
-    InvalidFormError,
-    InvalidSeifertDataError,
-    MultiplicityError,
-    SpincalcError,
-    TorsionBoundError,
-    WitnessSearchError,
-)
-from .exact_arith import (
-    DivisibilityBound,
-    ModZ,
-    bernoulli_paper,
-    bernoulli_quotient,
-    divisor_oriented,
-    divisor_spin,
-    todd_coefficients,
-    von_staudt_den,
-    von_staudt_factorization,
-)
-from .f2_forms import (
-    ArfValue,
-    QuadraticForm,
-    arf_basis,
-    arf_gauss,
-    count_by_arf,
-    count_zeros,
-    direct_sum,
-    enumerate_forms,
-    forms_isomorphic,
-    normalize,
-    random_symplectic,
-    standard_gram,
-    symplectic_basis,
-)
-from .char_classes import (
-    RiemannRochDim,
-    cokernel_dim,
-    hp_infinity_kappa,
-    lambda_kappa_difference,
-    proj_bundle_kappa,
-    riemann_roch_dim,
-    serre_duality_check,
-    sphere_kappa,
-    sphere_kappa_in_quotient,
-    sphere_lambda,
-    torus_kappa,
-    torus_lambda,
-)
-from .polynomials import IntPolynomial, QuotientedPolynomial
-from .seifert import (
-    EigenvalueProfile,
-    FixedPointData,
-    IcosahedralResult,
-    RepSpec,
-    SeifertData,
-    e_general,
-    e_simple,
-    einvariant_document,
-    icosahedral_example,
-    is_integral_homology_sphere,
-    multiplicity_solve,
-    order_in_pi3,
-    presentation,
-    regular_increment,
-    seifert_check_document,
-    stabilized_e,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArfValue",
-    "CentralBehaviorError",
-    "DegeneratePairingError",
-    "DimensionMismatchError",
-    "DivisibilityBound",
-    "DomainError",
-    "EigenvalueProfile",
-    "EnumerationCapError",
-    "FixedPointData",
-    "IcosahedralResult",
-    "IntPolynomial",
-    "InvalidFormError",
-    "InvalidSeifertDataError",
-    "ModZ",
-    "MultiplicityError",
-    "QuadraticForm",
-    "QuotientedPolynomial",
-    "RepSpec",
-    "RiemannRochDim",
-    "SeifertData",
-    "SpincalcError",
-    "TorsionBoundError",
-    "WitnessSearchError",
-    "arf_basis",
-    "arf_gauss",
-    "bernoulli_paper",
-    "bernoulli_quotient",
-    "cokernel_dim",
-    "count_by_arf",
-    "count_zeros",
-    "direct_sum",
-    "divisor_oriented",
-    "divisor_spin",
-    "e_general",
-    "e_simple",
-    "einvariant_document",
-    "enumerate_forms",
-    "forms_isomorphic",
-    "hp_infinity_kappa",
-    "icosahedral_example",
-    "is_integral_homology_sphere",
-    "lambda_kappa_difference",
-    "multiplicity_solve",
-    "normalize",
-    "order_in_pi3",
-    "presentation",
-    "proj_bundle_kappa",
-    "random_symplectic",
-    "regular_increment",
-    "riemann_roch_dim",
-    "seifert_check_document",
-    "serre_duality_check",
-    "sphere_kappa",
-    "sphere_kappa_in_quotient",
-    "sphere_lambda",
-    "stabilized_e",
-    "standard_gram",
-    "symplectic_basis",
-    "todd_coefficients",
-    "torus_kappa",
-    "torus_lambda",
-    "von_staudt_den",
-    "von_staudt_factorization",
-]
+# Each public name and the layer that defines it.  A layer is imported the
+# first time one of its names is looked up on the package.
+_HOME = {
+    "CentralBehaviorError": "errors",
+    "DegeneratePairingError": "errors",
+    "DimensionMismatchError": "errors",
+    "DomainError": "errors",
+    "EnumerationCapError": "errors",
+    "InvalidFormError": "errors",
+    "InvalidSeifertDataError": "errors",
+    "MultiplicityError": "errors",
+    "SpincalcError": "errors",
+    "TorsionBoundError": "errors",
+    "WitnessSearchError": "errors",
+    "DivisibilityBound": "exact_arith",
+    "ModZ": "exact_arith",
+    "bernoulli_paper": "exact_arith",
+    "bernoulli_quotient": "exact_arith",
+    "divisor_oriented": "exact_arith",
+    "divisor_spin": "exact_arith",
+    "todd_coefficients": "exact_arith",
+    "von_staudt_den": "exact_arith",
+    "von_staudt_factorization": "exact_arith",
+    "ArfValue": "f2_forms",
+    "QuadraticForm": "f2_forms",
+    "arf_basis": "f2_forms",
+    "arf_gauss": "f2_forms",
+    "count_by_arf": "f2_forms",
+    "count_zeros": "f2_forms",
+    "direct_sum": "f2_forms",
+    "enumerate_forms": "f2_forms",
+    "forms_isomorphic": "f2_forms",
+    "normalize": "f2_forms",
+    "random_symplectic": "f2_forms",
+    "standard_gram": "f2_forms",
+    "symplectic_basis": "f2_forms",
+    "RiemannRochDim": "char_classes",
+    "cokernel_dim": "char_classes",
+    "hp_infinity_kappa": "char_classes",
+    "lambda_kappa_difference": "char_classes",
+    "proj_bundle_kappa": "char_classes",
+    "riemann_roch_dim": "char_classes",
+    "serre_duality_check": "char_classes",
+    "sphere_kappa": "char_classes",
+    "sphere_kappa_in_quotient": "char_classes",
+    "sphere_lambda": "char_classes",
+    "torus_kappa": "char_classes",
+    "torus_lambda": "char_classes",
+    "IntPolynomial": "polynomials",
+    "QuotientedPolynomial": "polynomials",
+    "EigenvalueProfile": "seifert",
+    "FixedPointData": "seifert",
+    "IcosahedralResult": "seifert",
+    "RepSpec": "seifert",
+    "SeifertData": "seifert",
+    "e_general": "seifert",
+    "e_simple": "seifert",
+    "einvariant_document": "seifert",
+    "icosahedral_example": "seifert",
+    "is_integral_homology_sphere": "seifert",
+    "multiplicity_solve": "seifert",
+    "order_in_pi3": "seifert",
+    "presentation": "seifert",
+    "regular_increment": "seifert",
+    "seifert_check_document": "seifert",
+    "stabilized_e": "seifert",
+}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    try:
+        module = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -12,11 +12,10 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
-from . import char_classes, exact_arith, f2_forms, icosa_group, seifert
+# Only the error classes are imported here: each _cmd_* imports the layers
+# it uses, so a process loads no others.
 from .errors import SpincalcError
-from .exact_arith import ModZ, fraction_doc
 
 
 def _emit(args, human: str, doc: dict) -> None:
@@ -26,19 +25,17 @@ def _emit(args, human: str, doc: dict) -> None:
         print(human)
 
 
-def _format_modz(value: ModZ, order: int | None = None) -> str:
+def _format_modz(value, order: int | None = None) -> str:
     text = str(value.legible())
     if order is not None:
         text += f" (order {order})"
     return text
 
 
-def _parse_form(args) -> f2_forms.QuadraticForm:
-    return f2_forms.form_from_bitstring(args.g, args.basis_values)
-
-
 def _cmd_arf(args) -> None:
-    q = _parse_form(args)
+    from . import f2_forms
+
+    q = f2_forms.form_from_bitstring(args.g, args.basis_values)
     arf = f2_forms.arf_basis(q)
     method = "basis"
     if q.g <= f2_forms.DEFAULT_GENUS_CAP:
@@ -60,6 +57,8 @@ def _cmd_arf(args) -> None:
 
 
 def _cmd_forms(args) -> None:
+    from . import f2_forms
+
     n_plus, n_minus = f2_forms.count_by_arf(args.g)
     doc = {
         "g": args.g,
@@ -86,7 +85,9 @@ def _cmd_forms(args) -> None:
 
 
 def _cmd_zeros(args) -> None:
-    q = _parse_form(args)
+    from . import f2_forms
+
+    q = f2_forms.form_from_bitstring(args.g, args.basis_values)
     z = f2_forms.count_zeros(q)
     _emit(
         args,
@@ -96,15 +97,19 @@ def _cmd_zeros(args) -> None:
 
 
 def _cmd_bernoulli(args) -> None:
+    from . import exact_arith
+
     b = exact_arith.bernoulli_paper(args.k)
     _emit(
         args,
         f"B_{args.k} = {b}",
-        {"k": args.k, "value": fraction_doc(b)},
+        {"k": args.k, "value": exact_arith.fraction_doc(b)},
     )
 
 
 def _cmd_vonstaudt(args) -> None:
+    from . import exact_arith
+
     k = args.k
     factorization = exact_arith.von_staudt_factorization(k)
     den = exact_arith.von_staudt_den(k)
@@ -128,6 +133,8 @@ def _cmd_vonstaudt(args) -> None:
 
 
 def _cmd_divisibility(args) -> None:
+    from . import exact_arith
+
     n = args.index
     oriented = exact_arith.divisor_oriented(n)
     if not args.spin:
@@ -164,24 +171,27 @@ def _cmd_divisibility(args) -> None:
     )
 
 
-# For each class and family: the function computing it and the ring it lives in.
+# For each class and family: the char_classes function computing it and the
+# ring it lives in.
 _CLASSES = {
     "kappa": {
-        "sphere": (char_classes.sphere_kappa, "Z[p1]"),
-        "proj": (char_classes.proj_bundle_kappa, "Z[c1,c2]"),
-        "hp": (char_classes.hp_infinity_kappa, "Z[u]"),
-        "torus": (char_classes.torus_kappa, "Z[u]"),
+        "sphere": ("sphere_kappa", "Z[p1]"),
+        "proj": ("proj_bundle_kappa", "Z[c1,c2]"),
+        "hp": ("hp_infinity_kappa", "Z[u]"),
+        "torus": ("torus_kappa", "Z[u]"),
     },
     "lambda": {
-        "sphere": (char_classes.sphere_lambda, "Z[c2,c3]/(2*c3)"),
-        "torus": (char_classes.torus_lambda, "Z[u]"),
+        "sphere": ("sphere_lambda", "Z[c2,c3]/(2*c3)"),
+        "torus": ("torus_lambda", "Z[u]"),
     },
 }
 
 
 def _cmd_class(args) -> None:
-    compute, ring = _CLASSES[args.command][args.family]
-    poly = compute(args.n)
+    from . import char_classes
+
+    function, ring = _CLASSES[args.command][args.family]
+    poly = getattr(char_classes, function)(args.n)
     _emit(
         args,
         f"{args.command}_{args.n} = {poly.render()}",
@@ -196,6 +206,8 @@ def _cmd_class(args) -> None:
 
 
 def _cmd_rr(args) -> None:
+    from . import char_classes
+
     record = char_classes.riemann_roch_dim(args.genus, args.power)
     coker = char_classes.cokernel_dim(args.genus, args.power)
     index = record.dimension - coker
@@ -227,6 +239,8 @@ def _load_document(path: str) -> dict:
 
 
 def _cmd_seifert_check(args) -> None:
+    from . import seifert
+
     doc = seifert.seifert_check_document(_load_document(args.input))
     verdict = "yes" if doc["is_integral_homology_sphere"] else "no"
     _emit(
@@ -238,6 +252,11 @@ def _cmd_seifert_check(args) -> None:
 
 
 def _cmd_einvariant(args) -> None:
+    from fractions import Fraction
+
+    from . import seifert
+    from .exact_arith import ModZ
+
     if args.example is not None:
         result = seifert.icosahedral_example(args.example)
         if result.kind == "e":
@@ -261,6 +280,8 @@ def _cmd_einvariant(args) -> None:
 
 
 def _cmd_stabilize(args) -> None:
+    from . import seifert
+
     value = seifert.stabilized_e(args.n)
     base = seifert.icosahedral_example(3).value
     increment = seifert.regular_increment()
@@ -279,6 +300,8 @@ def _cmd_stabilize(args) -> None:
 
 
 def _cmd_icosa(args) -> None:
+    from . import icosa_group
+
     if args.census:
         census = icosa_group.element_order_census()
         human = "order census: " + ", ".join(

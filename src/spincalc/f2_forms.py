@@ -30,6 +30,9 @@ from .errors import (
     WitnessSearchError,
 )
 
+# The largest genus enumerated exhaustively.  It is a memory bound: one value
+# table is 4^g bits (8 KiB at g = 8), and the coordinate-mask cache in
+# _kernels holds 2g such tables.
 DEFAULT_GENUS_CAP = 8
 
 
@@ -161,18 +164,15 @@ def symplectic_basis(gram: tuple[int, ...]) -> list[int]:
     """A basis (a_1..a_g, b_1..b_g) with a_i.b_j = delta_ij, a_i.a_j = b_i.b_j = 0.
 
     Runs symplectic Gram-Schmidt over F2 on the given alternating Gram rows
-    and raises DegeneratePairingError when the pairing has a radical.
+    and raises DegeneratePairingError when the pairing has a radical.  The
+    chosen pairs and the candidates left always form a basis, so no candidate
+    becomes zero, and an odd count ends with a vector that has no partner.
     """
-    n = len(gram)
-    if n % 2 == 1:
-        raise DegeneratePairingError("odd-dimensional pairings are degenerate")
-    candidates = [1 << i for i in range(n)]
+    candidates = [1 << i for i in range(len(gram))]
     a_side: list[int] = []
     b_side: list[int] = []
     while candidates:
         v = candidates.pop(0)
-        if v == 0:
-            continue
         partner_at = next(
             (k for k, u in enumerate(candidates) if _gram_pair(gram, v, u) == 1), None
         )
@@ -187,9 +187,6 @@ def symplectic_basis(gram: tuple[int, ...]) -> list[int]:
             ^ (w if _gram_pair(gram, u, v) else 0)
             for u in candidates
         ]
-        candidates = [u for u in candidates if u != 0]
-    if 2 * len(a_side) != n:
-        raise DegeneratePairingError("pairing is degenerate")
     return a_side + b_side
 
 

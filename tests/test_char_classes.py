@@ -3,7 +3,6 @@
 from fractions import Fraction
 from itertools import product
 
-import numpy as np
 import pytest
 
 from spincalc.char_classes import (
@@ -93,27 +92,27 @@ def evaluate(poly, c2, c3):
 
 
 def integer_power_sums(c2, c3, n_max):
-    """Power sums of the roots of t^3 + c2 t - c3, computed numerically.
+    """Power sums of the roots of t^3 + c2 t - c3, for n = 0 .. n_max.
 
-    The roots are algebraic integers whose power sums are ordinary
-    integers, so rounding the floating-point sums is exact for the small
-    coefficient ranges used here.
+    The roots are the eigenvalues of the companion matrix, so the n-th power
+    sum is the trace of its n-th power, computed here in integers.
     """
-    roots = np.roots([1.0, 0.0, float(c2), float(-c3)])
+    companion = ((0, 0, c3), (1, 0, -c2), (0, 1, 0))
+    power = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     sums = []
-    for n in range(n_max + 1):
-        s = (roots**n).sum()
-        assert abs(s.imag) < 1e-6
-        value = round(s.real)
-        assert abs(s.real - value) < 1e-6
-        sums.append(int(value))
+    for _ in range(n_max + 1):
+        sums.append(power[0][0] + power[1][1] + power[2][2])
+        power = tuple(
+            tuple(sum(row[k] * companion[k][j] for k in range(3)) for j in range(3))
+            for row in power
+        )
     return sums
 
 
 def test_sphere_lambda_matches_newton_power_sums():
     # lambda_n lifts to the n-th power sum of the three Chern roots with
     # c1 = 0, up to the ideal (2 c3); sampling integer points checks the
-    # representative against an independent numeric computation
+    # representative against an independent exact computation
     for c2, c3 in product(range(-3, 4), repeat=2):
         sums = integer_power_sums(c2, c3, 6)
         for n in range(1, 7):

@@ -364,6 +364,31 @@ def test_cli_import_pulls_in_no_numeric_backend():
     assert out.stdout == "[]\n"
 
 
+@pytest.mark.parametrize(
+    "argv, needed, unused",
+    [
+        (["bernoulli", "--k", "5"], "exact_arith", {"seifert", "f2_forms"}),
+        (["arf", "--g", "1", "--basis-values", "11"], "f2_forms", {"seifert"}),
+        (["kappa", "--family", "sphere", "--n", "2"], "char_classes", {"seifert"}),
+    ],
+)
+def test_subcommand_loads_only_the_layers_it_uses(argv, needed, unused):
+    probe = (
+        "import json, sys; from spincalc.cli import main; main(sys.argv[1:]); "
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('spincalc.'))))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe, *argv],
+        env=_src_env(),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = {m.removeprefix("spincalc.") for m in json.loads(out.stdout.splitlines()[-1])}
+    assert needed in loaded
+    assert not unused & loaded
+
+
 def test_closed_stdout_pipe_exits_quietly():
     read_end, write_end = os.pipe()
     os.close(read_end)

@@ -1,0 +1,80 @@
+"""Tests for the package namespace: names are re-exported lazily, and a layer
+is imported only when one of its names is first looked up.
+
+Each check runs in a fresh interpreter, so that no other test has imported
+a layer before it.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import spincalc
+
+
+def run_fresh(code: str):
+    """Run code in a new interpreter and return the JSON it prints."""
+    src = os.path.dirname(os.path.dirname(spincalc.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(out.stdout)
+
+
+def test_import_loads_no_layer():
+    loaded = run_fresh(
+        "import json, sys, spincalc\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('spincalc'))))"
+    )
+    assert loaded == ["spincalc"]
+
+
+def test_first_lookup_loads_only_the_defining_layer():
+    loaded = run_fresh(
+        "import json, sys, spincalc\n"
+        "spincalc.bernoulli_paper\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('spincalc'))))"
+    )
+    assert loaded == ["spincalc", "spincalc.errors", "spincalc.exact_arith"]
+
+
+def test_every_public_name_resolves_to_its_definition():
+    report = run_fresh(
+        "import importlib, json, spincalc\n"
+        "listed = dir(spincalc)\n"
+        "star = {}\n"
+        "exec('from spincalc import *', star)\n"
+        "rows = []\n"
+        "for name in spincalc.__all__:\n"
+        "    value = getattr(spincalc, name)\n"
+        "    home = value.__module__\n"
+        "    rows.append([name, home,\n"
+        "                 getattr(importlib.import_module(home), name) is value,\n"
+        "                 vars(spincalc).get(name) is value,\n"
+        "                 star.get(name) is value,\n"
+        "                 name in listed])\n"
+        "print(json.dumps({'all': spincalc.__all__, 'version': spincalc.__version__,\n"
+        "                  'rows': rows}))"
+    )
+    names = report["all"]
+    assert names == sorted(set(names)) and len(names) == 63
+    assert report["version"] == "0.1.0"
+    for name, home, defined, cached, starred, listed in report["rows"]:
+        assert home.startswith("spincalc.") and home != "spincalc.cli", name
+        assert defined and cached and starred and listed, name
+
+
+def test_unknown_names_raise_attribute_error():
+    report = run_fresh(
+        "import json, spincalc\n"
+        "try:\n"
+        "    spincalc.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(json.dumps(str(exc)))"
+    )
+    assert report == "module 'spincalc' has no attribute 'no_such_name'"
