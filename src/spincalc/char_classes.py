@@ -8,7 +8,7 @@ the Newton recursion with c1 = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DomainError
@@ -115,13 +115,10 @@ def lambda_kappa_difference(n: int) -> QuotientedPolynomial:
     return sphere_lambda(n) - sphere_kappa_in_quotient(n)
 
 
-@dataclass(frozen=True)
-class RiemannRochDim:
+class RiemannRochDim(namedtuple("RiemannRochDim", "genus power dimension")):
     """Kernel dimension of dbar on the m-th power of the canonical bundle."""
 
-    genus: int
-    power: int
-    dimension: int
+    __slots__ = ()
 
 
 def _kernel_rows(g: int, m: int) -> dict[str, int]:

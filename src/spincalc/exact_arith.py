@@ -8,7 +8,7 @@ of the classical B_{2k}, so B_1 = 1/6, B_2 = 1/30, B_3 = 1/42 and so on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DomainError, TorsionBoundError
@@ -112,8 +112,11 @@ def divisor_oriented(n: int) -> int:
     return von_staudt_den(i)
 
 
-@dataclass(frozen=True)
-class DivisibilityBound:
+class DivisibilityBound(
+    namedtuple(
+        "DivisibilityBound", "index oriented_divisor spin_divisor spin_maximality"
+    )
+):
     """Divisibility of the n-th kappa class, oriented versus spin.
 
     spin_maximality records whether the spin divisor is known to be the
@@ -121,14 +124,15 @@ class DivisibilityBound:
     bound ("lower_bound_only").
     """
 
-    index: int
-    oriented_divisor: int
-    spin_divisor: int
-    spin_maximality: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.spin_divisor % self.oriented_divisor != 0:
+    def __new__(
+        cls, index: int, oriented_divisor: int, spin_divisor: int, spin_maximality: str
+    ) -> "DivisibilityBound":
+        if spin_divisor % oriented_divisor != 0:
             raise DomainError("spin divisor must refine the oriented divisor")
+        fields = (index, oriented_divisor, spin_divisor, spin_maximality)
+        return tuple.__new__(cls, fields)
 
 
 def divisor_spin(n: int) -> DivisibilityBound:
@@ -149,17 +153,17 @@ def divisor_spin(n: int) -> DivisibilityBound:
     return DivisibilityBound(n, oriented, spin, "lower_bound_only")
 
 
-@dataclass(frozen=True)
-class ModZ:
+class ModZ(namedtuple("ModZ", "residue")):
     """A rational number modulo Z, stored as the residue in [0, 1)."""
 
-    residue: Fraction
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.residue, Fraction):
-            object.__setattr__(self, "residue", Fraction(self.residue))
-        if not 0 <= self.residue < 1:
-            object.__setattr__(self, "residue", self.residue % 1)
+    def __new__(cls, residue: Fraction | int | str) -> "ModZ":
+        if not isinstance(residue, Fraction):
+            residue = Fraction(residue)
+        if not 0 <= residue < 1:
+            residue %= 1
+        return tuple.__new__(cls, (residue,))
 
     @classmethod
     def of(cls, value: Fraction | int | str) -> "ModZ":

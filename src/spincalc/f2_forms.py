@@ -17,7 +17,7 @@ enumeration here is authoritative).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from . import _kernels
@@ -63,18 +63,17 @@ def _gram_pair(gram: tuple[int, ...], x: int, y: int) -> int:
     return acc
 
 
-@dataclass(frozen=True)
-class ArfValue:
+class ArfValue(namedtuple("ArfValue", "additive multiplicative")):
     """The Arf invariant in both of its guises."""
 
-    additive: int
-    multiplicative: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.additive not in (0, 1):
+    def __new__(cls, additive: int, multiplicative: int) -> "ArfValue":
+        if additive not in (0, 1):
             raise DomainError("additive Arf invariant must be 0 or 1")
-        if self.multiplicative != (-1) ** self.additive:
+        if multiplicative != (-1) ** additive:
             raise DomainError("multiplicative Arf invariant must be (-1)^additive")
+        return tuple.__new__(cls, (additive, multiplicative))
 
     @classmethod
     def from_additive(cls, a: int) -> "ArfValue":
@@ -88,8 +87,7 @@ class ArfValue:
         return cls(0 if m == 1 else 1, m)
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
+class QuadraticForm(namedtuple("QuadraticForm", "g basis_values gram")):
     """A quadratic refinement, stored by its values on a basis.
 
     basis_values packs q(e_0), ..., q(e_{2g-1}) into a bitmask.  gram is
@@ -97,33 +95,34 @@ class QuadraticForm:
     (alternating and nondegenerate, or construction fails).
     """
 
-    g: int
-    basis_values: int
-    gram: tuple[int, ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.g < 1:
+    def __new__(
+        cls, g: int, basis_values: int, gram: tuple[int, ...] | None = None
+    ) -> "QuadraticForm":
+        if g < 1:
             raise InvalidFormError("genus must be at least 1")
-        if not 0 <= self.basis_values < (1 << (2 * self.g)):
+        if not 0 <= basis_values < (1 << (2 * g)):
             raise InvalidFormError("basis values must fit in 2g bits")
-        if self.gram is not None:
-            n = 2 * self.g
-            if len(self.gram) != n:
+        if gram is not None:
+            n = 2 * g
+            if len(gram) != n:
                 raise InvalidFormError("Gram matrix must have 2g rows")
-            if any(not 0 <= row < (1 << n) for row in self.gram):
+            if any(not 0 <= row < (1 << n) for row in gram):
                 raise InvalidFormError("Gram rows must fit in 2g bits")
-            if any((self.gram[i] >> i) & 1 for i in range(n)):
+            if any((gram[i] >> i) & 1 for i in range(n)):
                 raise InvalidFormError("pairing must be alternating")
             if any(
-                ((self.gram[i] >> j) & 1) != ((self.gram[j] >> i) & 1)
+                ((gram[i] >> j) & 1) != ((gram[j] >> i) & 1)
                 for i in range(n)
                 for j in range(i + 1, n)
             ):
                 raise InvalidFormError("pairing must be symmetric")
             # Raises DegeneratePairingError when the pairing has a radical.
-            symplectic_basis(self.gram)
-            if self.gram == standard_gram(self.g):
-                object.__setattr__(self, "gram", None)
+            symplectic_basis(gram)
+            if gram == standard_gram(g):
+                gram = None
+        return tuple.__new__(cls, (g, basis_values, gram))
 
     @property
     def dim(self) -> int:

@@ -8,7 +8,7 @@ center is the alternating group A5 of order 60.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import DomainError, WitnessSearchError
@@ -124,15 +124,11 @@ def cyclic_subgroup(x: Element) -> tuple[Element, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class PresentationTriple:
+class PresentationTriple(namedtuple("PresentationTriple", "h x1 x2 x3")):
     """Witness for the presentation with x1^2 = x2^3 = x3^5 = h central
-    and x1 x2 x3 = 1."""
+    and x1 x2 x3 = 1; each entry is an Element."""
 
-    h: Element
-    x1: Element
-    x2: Element
-    x3: Element
+    __slots__ = ()
 
 
 def find_presentation_triple() -> PresentationTriple:
@@ -193,15 +189,15 @@ def doubled_pullback_regular_character(x: Element) -> int:
     return 2 * fixed_coset_count(x)
 
 
-@dataclass(frozen=True)
-class RestrictionProfile:
+class RestrictionProfile(
+    namedtuple("RestrictionProfile", "order copies exponent_multiplicities")
+):
     """Restriction of the doubled pullback regular representation to a cyclic
     subgroup of order m of the order-60 quotient: 120/m copies of that cyclic
-    group's regular representation."""
+    group's regular representation.  exponent_multiplicities maps each
+    eigenvalue exponent j in 0..m-1 to its number of copies."""
 
-    order: int
-    copies: int
-    exponent_multiplicities: dict[int, int]
+    __slots__ = ()
 
 
 def regular_restriction_profile(m: int) -> RestrictionProfile:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import cyclotomic, icosa_group
@@ -37,18 +37,18 @@ from .errors import (
 from .exact_arith import ModZ
 
 
-@dataclass(frozen=True)
-class SeifertData:
+class SeifertData(namedtuple("SeifertData", "pairs")):
     """Pairs (a_j, b_j), each coprime with a_j >= 1."""
 
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for a, b in self.pairs:
+    def __new__(cls, pairs: tuple[tuple[int, int], ...]) -> "SeifertData":
+        for a, b in pairs:
             if a < 1:
                 raise InvalidSeifertDataError(f"fiber order {a} must be positive")
             if math.gcd(a, b) != 1:
                 raise InvalidSeifertDataError(f"pair ({a}, {b}) is not coprime")
+        return tuple.__new__(cls, (pairs,))
 
     @property
     def a(self) -> int:
@@ -71,10 +71,7 @@ def is_integral_homology_sphere(d: SeifertData) -> bool:
     return abs(homology_sphere_obstruction(d)) == 1
 
 
-@dataclass(frozen=True)
-class Presentation:
-    generators: tuple[str, ...]
-    relations: tuple[str, ...]
+Presentation = namedtuple("Presentation", "generators relations")
 
 
 def presentation(d: SeifertData) -> Presentation:
@@ -103,16 +100,14 @@ def presentation(d: SeifertData) -> Presentation:
     return Presentation(gens, tuple(relations))
 
 
-@dataclass(frozen=True)
-class FixedPointData:
+class FixedPointData(namedtuple("FixedPointData", "genus counts")):
     """Fixed point counts of the exceptional holonomies on a genus-g surface.
 
     The Lefschetz trace on first homology is 2 - F for F fixed points, the
     holonomy being orientation preserving of finite order.
     """
 
-    genus: int
-    counts: tuple[int, ...]
+    __slots__ = ()
 
     def traces(self) -> tuple[int, ...]:
         return tuple(lefschetz_trace(f) for f in self.counts)
@@ -124,35 +119,37 @@ def lefschetz_trace(fixed_points: int) -> int:
     return 2 - fixed_points
 
 
-@dataclass(frozen=True)
-class EigenvalueProfile:
-    """The multiset of s-parameters of one exceptional holonomy."""
+class EigenvalueProfile(namedtuple("EigenvalueProfile", "fiber s_values")):
+    """The multiset of s-parameters (a tuple of Fractions) of the holonomy at
+    one exceptional fiber."""
 
-    fiber: int
-    s_values: tuple[Fraction, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RepSpec:
+class RepSpec(namedtuple("RepSpec", "dimension scalar_exponent profiles")):
     """Eigenvalue data of a flat bundle: one profile per exceptional fiber.
 
     scalar_exponent is r_h for a scalar central action, None when the center
     acts trivially.
     """
 
-    dimension: int
-    scalar_exponent: int | None
-    profiles: tuple[EigenvalueProfile, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.dimension < 1:
+    def __new__(
+        cls,
+        dimension: int,
+        scalar_exponent: int | None,
+        profiles: tuple[EigenvalueProfile, ...],
+    ) -> "RepSpec":
+        if dimension < 1:
             raise DomainError("dimension must be positive")
-        for p in self.profiles:
-            if len(p.s_values) != self.dimension:
+        for p in profiles:
+            if len(p.s_values) != dimension:
                 raise DomainError(
                     f"profile for fiber {p.fiber} has {len(p.s_values)} "
-                    f"eigenvalues, expected {self.dimension}"
+                    f"eigenvalues, expected {dimension}"
                 )
+        return tuple.__new__(cls, (dimension, scalar_exponent, profiles))
 
     @property
     def trivial_center(self) -> bool:
@@ -289,26 +286,22 @@ def multiplicity_solve(
     return solutions[0]
 
 
-@dataclass(frozen=True)
-class IcosahedralResult:
-    """One worked flat bundle on the Poincare sphere, fully evaluated."""
+class IcosahedralResult(
+    namedtuple(
+        "IcosahedralResult",
+        "example data fixed_points rep kind value order order_constraint",
+    )
+):
+    """One worked flat bundle on the Poincare sphere, fully evaluated: its
+    SeifertData, FixedPointData and RepSpec, the e-formula kind and its ModZ
+    value, and the order (or the candidate orders) of that value."""
 
-    example: int
-    data: SeifertData
-    fixed_points: FixedPointData
-    rep: RepSpec
-    kind: str
-    value: ModZ
-    order: int | None
-    order_constraint: tuple[int, ...] | None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class _CannedExample:
-    genus: int
-    scalar_exponent: int | None
-    fixed_points: tuple[int, int, int]
-    order_constraint: tuple[int, ...] | None
+_CannedExample = namedtuple(
+    "_CannedExample", "genus scalar_exponent fixed_points order_constraint"
+)
 
 
 _EXAMPLES = {

@@ -349,6 +349,25 @@ def _src_env():
     return dict(os.environ, PYTHONPATH=src)
 
 
+def _modules_after(argv, cwd=None):
+    """The names in sys.modules after `main(argv)` has run, and succeeded, in
+    a fresh interpreter."""
+    probe = (
+        "import json, sys; from spincalc.cli import main; "
+        "code = main(sys.argv[1:]); "
+        "print(json.dumps(sorted(sys.modules))); sys.exit(code)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe, *argv],
+        env=_src_env(),
+        cwd=cwd,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return set(json.loads(out.stdout.splitlines()[-1]))
+
+
 def test_cli_import_pulls_in_no_numeric_backend():
     probe = (
         "import sys, spincalc.cli; "
@@ -373,18 +392,11 @@ def test_cli_import_pulls_in_no_numeric_backend():
     ],
 )
 def test_subcommand_loads_only_the_layers_it_uses(argv, needed, unused):
-    probe = (
-        "import json, sys; from spincalc.cli import main; main(sys.argv[1:]); "
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('spincalc.'))))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", probe, *argv],
-        env=_src_env(),
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    loaded = {m.removeprefix("spincalc.") for m in json.loads(out.stdout.splitlines()[-1])}
+    loaded = {
+        m.removeprefix("spincalc.")
+        for m in _modules_after(argv)
+        if m.startswith("spincalc.")
+    }
     assert needed in loaded
     assert not unused & loaded
 
@@ -517,6 +529,22 @@ _SCALAR_BUNDLE = {
 }
 
 _POINCARE_PAIRS = {"pairs": [[2, -1], [3, 1], [5, 1]]}
+
+
+_PROBED_ARGV = [shlex.split(arguments) for arguments, _ in _README_EXAMPLES] + [
+    ["icosa", "--verify"],
+    ["seifert-check", "--input", "pairs.json"],
+    ["einvariant", "--input", "bundle.json"],
+]
+
+
+@pytest.mark.parametrize("argv", _PROBED_ARGV, ids=" ".join)
+def test_no_subcommand_loads_dataclasses(tmp_path, argv):
+    """The result records are named tuples, so no subcommand pays for
+    importing dataclasses and inspect at start-up."""
+    (tmp_path / "pairs.json").write_text(json.dumps(_POINCARE_PAIRS))
+    (tmp_path / "bundle.json").write_text(json.dumps(_README_BUNDLE))
+    assert not {"dataclasses", "inspect"} & _modules_after(argv, cwd=tmp_path)
 
 
 @pytest.mark.parametrize(

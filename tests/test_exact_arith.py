@@ -156,13 +156,17 @@ def test_divisor_spin_refines_oriented_by_a_two_power():
 
 
 def test_divisibility_bound_consistency_guard():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as excinfo:
         DivisibilityBound(1, 12, 18, "lower_bound_only")
+    assert str(excinfo.value) == "spin divisor must refine the oriented divisor"
 
 
 def test_modz_normalization_and_alias():
     assert ModZ.of(Fraction(7, 3)).residue == Fraction(1, 3)
     assert ModZ.of(Fraction(-1, 12)).residue == Fraction(11, 12)
+    assert ModZ(Fraction(-1, 12)).residue == Fraction(11, 12)
+    assert ModZ("13/12").residue == Fraction(1, 12)
+    assert ModZ(1).residue == 0 and type(ModZ(1).residue) is Fraction
     assert ModZ.of(Fraction(11, 12)).alias == Fraction(-1, 12)
     assert ModZ.of(Fraction(1, 3)).alias is None
     assert ModZ.of(Fraction(1, 2)).alias is None

@@ -40,31 +40,36 @@ def test_arf_value_validation():
     assert ArfValue.from_additive(0).multiplicative == 1
     assert ArfValue.from_additive(1).multiplicative == -1
     assert ArfValue.from_multiplicative(-1).additive == 1
-    with pytest.raises(DomainError):
-        ArfValue(0, -1)
-    with pytest.raises(DomainError):
-        ArfValue(2, 1)
+    for args, message in [
+        ((0, -1), "multiplicative Arf invariant must be (-1)^additive"),
+        ((1, 1), "multiplicative Arf invariant must be (-1)^additive"),
+        ((2, 1), "additive Arf invariant must be 0 or 1"),
+    ]:
+        with pytest.raises(DomainError) as excinfo:
+            ArfValue(*args)
+        assert str(excinfo.value) == message
     with pytest.raises(DomainError):
         ArfValue.from_multiplicative(0)
 
 
 def test_quadratic_form_validation():
-    with pytest.raises(InvalidFormError):
-        QuadraticForm(0, 0)
-    with pytest.raises(InvalidFormError):
-        QuadraticForm(1, 4)
-    # a Gram matrix with a diagonal entry is not alternating
-    with pytest.raises(InvalidFormError):
-        QuadraticForm(1, 0, gram=(1, 1))
-    # asymmetric pairing
-    with pytest.raises(InvalidFormError):
-        QuadraticForm(1, 0, gram=(2, 0))
-    # degenerate pairing
-    with pytest.raises(DegeneratePairingError):
-        QuadraticForm(1, 0, gram=(0, 0))
+    for args, error, message in [
+        ((0, 0), InvalidFormError, "genus must be at least 1"),
+        ((1, 4), InvalidFormError, "basis values must fit in 2g bits"),
+        ((1, 0, (2, 1, 0)), InvalidFormError, "Gram matrix must have 2g rows"),
+        ((1, 0, (2, 4)), InvalidFormError, "Gram rows must fit in 2g bits"),
+        # a Gram matrix with a diagonal entry is not alternating
+        ((1, 0, (1, 1)), InvalidFormError, "pairing must be alternating"),
+        ((1, 0, (2, 0)), InvalidFormError, "pairing must be symmetric"),
+        ((1, 0, (0, 0)), DegeneratePairingError, "vector with no symplectic partner"),
+    ]:
+        with pytest.raises(error) as excinfo:
+            QuadraticForm(*args)
+        assert str(excinfo.value) == message
     # the standard Gram matrix normalizes to None
     q = QuadraticForm(2, 5, gram=standard_gram(2))
-    assert q.is_standard
+    assert q.is_standard and q.gram is None
+    assert q == QuadraticForm(2, 5)
 
 
 def test_genus_one_values():

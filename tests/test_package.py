@@ -69,6 +69,16 @@ def test_every_public_name_resolves_to_its_definition():
         assert defined and cached and starred and listed, name
 
 
+def test_resolving_every_public_name_loads_no_dataclasses():
+    loaded = run_fresh(
+        "import json, sys, spincalc\n"
+        "for name in spincalc.__all__:\n"
+        "    getattr(spincalc, name)\n"
+        "print(json.dumps(sorted({'dataclasses', 'inspect'} & set(sys.modules))))"
+    )
+    assert loaded == []
+
+
 def test_unknown_names_raise_attribute_error():
     report = run_fresh(
         "import json, spincalc\n"

@@ -37,11 +37,24 @@ from spincalc.seifert import (
 
 
 def test_seifert_data_validation():
-    with pytest.raises(InvalidSeifertDataError):
+    with pytest.raises(InvalidSeifertDataError) as excinfo:
         SeifertData(((0, 1),))
-    with pytest.raises(InvalidSeifertDataError):
+    assert str(excinfo.value) == "fiber order 0 must be positive"
+    with pytest.raises(InvalidSeifertDataError) as excinfo:
         SeifertData(((2, 4),))
+    assert str(excinfo.value) == "pair (2, 4) is not coprime"
     assert SeifertData(((1, 0), (3, 2))).a == 3
+
+
+def test_rep_spec_validation():
+    profile = EigenvalueProfile(1, (Fraction(0), Fraction(1, 2)))
+    with pytest.raises(DomainError) as excinfo:
+        RepSpec(0, None, ())
+    assert str(excinfo.value) == "dimension must be positive"
+    with pytest.raises(DomainError) as excinfo:
+        RepSpec(3, None, (profile,))
+    assert str(excinfo.value) == "profile for fiber 1 has 2 eigenvalues, expected 3"
+    assert RepSpec(2, 0, (profile,)).trivial_center
 
 
 def test_poincare_is_a_homology_sphere():
