@@ -165,10 +165,6 @@ class ModZ(namedtuple("ModZ", "residue")):
             residue %= 1
         return tuple.__new__(cls, (residue,))
 
-    @classmethod
-    def of(cls, value: Fraction | int | str) -> "ModZ":
-        return cls(value)
-
     @property
     def alias(self) -> Fraction | None:
         """Negative representative when it is shorter to read, else None.

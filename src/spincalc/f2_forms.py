@@ -51,18 +51,6 @@ def _standard_pair(g: int, x: int, y: int) -> int:
     return crossings & 1
 
 
-def _gram_pair(gram: tuple[int, ...], x: int, y: int) -> int:
-    acc = 0
-    i = 0
-    xx = x
-    while xx:
-        if xx & 1:
-            acc ^= (gram[i] & y).bit_count() & 1
-        xx >>= 1
-        i += 1
-    return acc
-
-
 class ArfValue(namedtuple("ArfValue", "additive multiplicative")):
     """The Arf invariant in both of its guises."""
 
@@ -136,7 +124,7 @@ class QuadraticForm(namedtuple("QuadraticForm", "g basis_values gram")):
         """The underlying symplectic pairing x.y."""
         if self.is_standard:
             return _standard_pair(self.g, x, y)
-        return _gram_pair(self.gram, x, y)
+        return (apply_map(self.gram, x) & y).bit_count() & 1
 
 
 def eval_form(q: QuadraticForm, x: int) -> int:
@@ -147,16 +135,17 @@ def eval_form(q: QuadraticForm, x: int) -> int:
     if q.is_standard:
         lo = (1 << q.g) - 1
         return linear ^ (((x & lo) & (x >> q.g)).bit_count() & 1)
-    cross = 0
+    # The cross term sum_{i<j} x_i x_j B_ij is the parity of x AND the XOR of
+    # the strict upper triangle rows U_i at the set bits i of x.
+    upper = 0
     xx = x
     i = 0
     while xx:
         if xx & 1:
-            higher = x >> (i + 1) << (i + 1)
-            cross ^= (q.gram[i] & higher).bit_count() & 1
+            upper ^= q.gram[i] >> (i + 1) << (i + 1)
         xx >>= 1
         i += 1
-    return linear ^ cross
+    return linear ^ ((x & upper).bit_count() & 1)
 
 
 def symplectic_basis(gram: tuple[int, ...]) -> list[int]:
@@ -166,26 +155,35 @@ def symplectic_basis(gram: tuple[int, ...]) -> list[int]:
     and raises DegeneratePairingError when the pairing has a radical.  The
     chosen pairs and the candidates left always form a basis, so no candidate
     becomes zero, and an odd count ends with a vector that has no partner.
+
+    Each candidate u carries its image Bu, the XOR of the Gram rows at its
+    set bits, starting from Be_i = gram[i].  Images change linearly with the
+    vectors (u ^= v gives Bu ^= Bv), so every pairing u.y is the parity of
+    Bu & y: one AND and one popcount.
     """
-    candidates = [1 << i for i in range(len(gram))]
+    vectors = [1 << i for i in range(len(gram))]
+    images = list(gram)
     a_side: list[int] = []
     b_side: list[int] = []
-    while candidates:
-        v = candidates.pop(0)
-        partner_at = next(
-            (k for k, u in enumerate(candidates) if _gram_pair(gram, v, u) == 1), None
-        )
-        if partner_at is None:
+    while vectors:
+        v = vectors.pop(0)
+        bv = images.pop(0)
+        for k, u in enumerate(vectors):
+            if (bv & u).bit_count() & 1:
+                break
+        else:
             raise DegeneratePairingError("vector with no symplectic partner")
-        w = candidates.pop(partner_at)
+        w = vectors.pop(k)
+        bw = images.pop(k)
         a_side.append(v)
         b_side.append(w)
-        candidates = [
-            u
-            ^ (v if _gram_pair(gram, u, w) else 0)
-            ^ (w if _gram_pair(gram, u, v) else 0)
-            for u in candidates
-        ]
+        for k, bu in enumerate(images):
+            if (bu & w).bit_count() & 1:
+                vectors[k] ^= v
+                images[k] ^= bv
+            if (bu & v).bit_count() & 1:
+                vectors[k] ^= w
+                images[k] ^= bw
     return a_side + b_side
 
 

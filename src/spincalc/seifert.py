@@ -176,7 +176,7 @@ def e_simple(d: SeifertData, spec: RepSpec) -> ModZ:
     for (aj, _), profile in _matched_profiles(d, spec):
         for s in profile.s_values:
             total -= Fraction(a) * s * s / (2 * aj * aj)
-    return ModZ.of(total)
+    return ModZ(total)
 
 
 def e_general(d: SeifertData, spec: RepSpec) -> ModZ:
@@ -192,7 +192,7 @@ def e_general(d: SeifertData, spec: RepSpec) -> ModZ:
             for sl in profile.s_values:
                 diff = sk - sl
                 total -= Fraction(a) * diff * diff / (2 * aj * aj)
-    return ModZ.of(total)
+    return ModZ(total)
 
 
 def s_from_exponents(

@@ -188,9 +188,9 @@ def test_acceptance_09_worked_examples(capsys):
     ex1 = icosahedral_example(1)
     ex2 = icosahedral_example(2)
     ex3 = icosahedral_example(3)
-    ok = ex2.value == ModZ.of(Fraction(1, 2))
-    ok = ok and ex3.value == ModZ.of(Fraction(-1, 12)) and ex3.order == 12
-    ok = ok and ex1.value == ModZ.of(Fraction(1, 3))
+    ok = ex2.value == ModZ(Fraction(1, 2))
+    ok = ok and ex3.value == ModZ(Fraction(-1, 12)) and ex3.order == 12
+    ok = ok and ex1.value == ModZ(Fraction(1, 3))
     ok = ok and ex1.kind == "two_re_times_n_e"
     ok = ok and ex1.order_constraint == (6, 12, 24)
     ok = ok and multiplicity_solve(6, 28, 2, (1, 3, 5)) == (10, 8, 10)
@@ -198,9 +198,9 @@ def test_acceptance_09_worked_examples(capsys):
 
 
 def test_acceptance_10_stabilization(capsys):
-    ok = regular_increment() == ModZ.of(Fraction(-1, 3))
+    ok = regular_increment() == ModZ(Fraction(-1, 3))
     for n in range(0, 11):
-        ok = ok and stabilized_e(n) == ModZ.of(
+        ok = ok and stabilized_e(n) == ModZ(
             Fraction(-1, 12) - Fraction(n, 3)
         )
     report(capsys, 10, "stabilization by the regular flat bundle", ok)

@@ -162,21 +162,20 @@ def test_divisibility_bound_consistency_guard():
 
 
 def test_modz_normalization_and_alias():
-    assert ModZ.of(Fraction(7, 3)).residue == Fraction(1, 3)
-    assert ModZ.of(Fraction(-1, 12)).residue == Fraction(11, 12)
+    assert ModZ(Fraction(7, 3)).residue == Fraction(1, 3)
     assert ModZ(Fraction(-1, 12)).residue == Fraction(11, 12)
     assert ModZ("13/12").residue == Fraction(1, 12)
     assert ModZ(1).residue == 0 and type(ModZ(1).residue) is Fraction
-    assert ModZ.of(Fraction(11, 12)).alias == Fraction(-1, 12)
-    assert ModZ.of(Fraction(1, 3)).alias is None
-    assert ModZ.of(Fraction(1, 2)).alias is None
-    assert ModZ.of(0).legible() == 0
-    assert ModZ.of(Fraction(11, 12)).legible() == Fraction(-1, 12)
+    assert ModZ(Fraction(11, 12)).alias == Fraction(-1, 12)
+    assert ModZ(Fraction(1, 3)).alias is None
+    assert ModZ(Fraction(1, 2)).alias is None
+    assert ModZ(0).legible() == 0
+    assert ModZ(Fraction(11, 12)).legible() == Fraction(-1, 12)
 
 
 def test_modz_arithmetic():
-    half = ModZ.of(Fraction(1, 2))
-    third = ModZ.of(Fraction(1, 3))
+    half = ModZ(Fraction(1, 2))
+    third = ModZ(Fraction(1, 3))
     assert (half + third).residue == Fraction(5, 6)
     assert (half - third).residue == Fraction(1, 6)
     assert (5 * third).residue == Fraction(2, 3)
@@ -184,18 +183,18 @@ def test_modz_arithmetic():
 
 
 def test_modz_order():
-    assert ModZ.of(0).order() == 1
-    assert ModZ.of(Fraction(1, 3)).order() == 3
-    assert ModZ.of(Fraction(11, 12)).order() == 12
-    assert ModZ.of(Fraction(5, 24)).order() == 24
+    assert ModZ(0).order() == 1
+    assert ModZ(Fraction(1, 3)).order() == 3
+    assert ModZ(Fraction(11, 12)).order() == 12
+    assert ModZ(Fraction(5, 24)).order() == 24
     with pytest.raises(TorsionBoundError):
-        ModZ.of(Fraction(1, 25)).order()
-    assert ModZ.of(Fraction(1, 25)).order(cap=50) == 25
+        ModZ(Fraction(1, 25)).order()
+    assert ModZ(Fraction(1, 25)).order(cap=50) == 25
     # against the definition: the least m <= cap with m * r integral
     for cap in (24, 50):
         for q in range(1, 61):
             for p in range(q):
-                r = ModZ.of(Fraction(p, q))
+                r = ModZ(Fraction(p, q))
                 least = next(
                     (m for m in range(1, cap + 1) if (m * r.residue).denominator == 1),
                     None,
@@ -211,9 +210,9 @@ def test_modz_order():
 
 def test_serialization_helpers():
     assert fraction_doc(Fraction(-1, 12)) == {"num": "-1", "den": "12"}
-    doc = ModZ.of(Fraction(11, 12)).to_doc()
+    doc = ModZ(Fraction(11, 12)).to_doc()
     assert doc == {
         "residue": {"num": "11", "den": "12"},
         "alias": {"num": "-1", "den": "12"},
     }
-    assert ModZ.of(Fraction(1, 3)).to_doc()["alias"] is None
+    assert ModZ(Fraction(1, 3)).to_doc()["alias"] is None

@@ -294,7 +294,7 @@ def conjugated_gram(g, cols):
 
 def test_symplectic_basis_on_scrambled_pairings():
     rng = random.Random(99)
-    for g in (1, 2, 3):
+    for g in (1, 2, 3, 8):
         n = 2 * g
         for _ in range(10):
             cols = random_invertible(g, rng)
@@ -318,11 +318,101 @@ def standard_pairing_entry(g, i, j):
 
 
 def gram_pair(gram, x, y):
+    """x.y summed row by row: x_i (row_i . y) over the set bits i of x."""
     acc = 0
     for i, row in enumerate(gram):
         if (x >> i) & 1:
             acc ^= (row & y).bit_count() & 1
     return acc
+
+
+def loop_symplectic_basis(gram):
+    """Symplectic Gram-Schmidt that pairs every vector with gram_pair.
+
+    The reference for symplectic_basis, which must make the same choices
+    in the same order and so return the same list.
+    """
+    candidates = [1 << i for i in range(len(gram))]
+    a_side = []
+    b_side = []
+    while candidates:
+        v = candidates.pop(0)
+        partner_at = next(
+            (k for k, u in enumerate(candidates) if gram_pair(gram, v, u) == 1), None
+        )
+        if partner_at is None:
+            raise DegeneratePairingError("vector with no symplectic partner")
+        w = candidates.pop(partner_at)
+        a_side.append(v)
+        b_side.append(w)
+        candidates = [
+            u
+            ^ (v if gram_pair(gram, u, w) else 0)
+            ^ (w if gram_pair(gram, u, v) else 0)
+            for u in candidates
+        ]
+    return a_side + b_side
+
+
+def expanded_value(q, x):
+    """q(sum x_i e_i) = sum x_i q(e_i) + sum_{i<j} x_i x_j B_ij, term by term."""
+    n = q.dim
+    gram = q.gram or standard_gram(q.g)
+    bits = [(x >> i) & 1 for i in range(n)]
+    value = sum(bits[i] * ((q.basis_values >> i) & 1) for i in range(n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            value += bits[i] * bits[j] * ((gram[i] >> j) & 1)
+    return value & 1
+
+
+def outcome(basis_of, gram):
+    """The basis, or the class and message of the error raised instead."""
+    try:
+        return basis_of(gram)
+    except DegeneratePairingError as exc:
+        return type(exc), str(exc)
+
+
+def test_symplectic_basis_matches_the_loop_reference():
+    # every alternating Gram with 2 and 4 rows, and seeded random ones with
+    # 6 to 16 rows; odd row counts are always degenerate
+    rng = random.Random(8)
+    grams = [
+        alternating_gram(n, u) for n in (2, 4) for u in range(1 << (n * (n - 1) // 2))
+    ]
+    grams += [
+        alternating_gram(n, rng.getrandbits(n * (n - 1) // 2))
+        for n in range(6, 17)
+        for _ in range(512)
+    ]
+    degenerate = 0
+    for gram in grams:
+        want = outcome(loop_symplectic_basis, gram)
+        assert outcome(symplectic_basis, gram) == want
+        degenerate += isinstance(want, tuple)
+    assert 0 < degenerate < len(grams)
+
+
+def test_normalize_matches_the_loop_reference_at_genus_8():
+    rng = random.Random(88)
+    for _ in range(20):
+        gram = conjugated_gram(8, random_invertible(8, rng))
+        q = QuadraticForm(8, rng.randrange(1 << 16), gram=gram)
+        basis = loop_symplectic_basis(gram)
+        bv = sum(expanded_value(q, v) << i for i, v in enumerate(basis))
+        assert normalize(q) == QuadraticForm(8, bv)
+
+
+def test_eval_form_matches_the_expansion_on_gram_forms():
+    # at g = 1 the only nondegenerate pairing is the standard one
+    rng = random.Random(3)
+    for g in (1, 2, 3):
+        for _ in range(10):
+            gram = conjugated_gram(g, random_invertible(g, rng))
+            q = QuadraticForm(g, rng.randrange(1 << (2 * g)), gram=gram)
+            for x in range(1 << (2 * g)):
+                assert eval_form(q, x) == expanded_value(q, x)
 
 
 def test_symplectic_basis_rejects_degenerate_pairings():
@@ -371,7 +461,12 @@ def test_gram_forms_are_rejected_exactly_when_degenerate():
 
 def test_normalize_preserves_the_form():
     rng = random.Random(5)
-    for g in (1, 2, 3):
+    for g in (1, 2, 3, 8):
+        # every vector up to g = 3; 4^8 is too many, so sample at g = 8
+        if g <= 3:
+            xs = range(1 << (2 * g))
+        else:
+            xs = [rng.randrange(1 << (2 * g)) for _ in range(512)]
         for _ in range(5):
             cols = random_invertible(g, rng)
             gram = conjugated_gram(g, cols)
@@ -380,7 +475,7 @@ def test_normalize_preserves_the_form():
             std = normalize(q)
             assert std.is_standard
             basis = symplectic_basis(gram)
-            for x in range(1 << (2 * g)):
+            for x in xs:
                 assert eval_form(std, x) == eval_form(q, apply_map(tuple(basis), x))
             assert arf_basis(q) == arf_gauss(q)
 
