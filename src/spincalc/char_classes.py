@@ -27,17 +27,12 @@ def _check_index(n: int) -> None:
 
 
 def sphere_kappa(n: int) -> IntPolynomial:
-    """kappa_n of the universal sphere bundle, a polynomial in p1.
-
-    Computed by the recursion kappa_{n+2} = p1 * kappa_n from kappa_0 = 2
-    and kappa_1 = 0, which closes to kappa_{2k} = 2 * p1^k.
-    """
+    """kappa_n of the universal sphere bundle: 2 * p1^k at n = 2k; odd
+    indices vanish."""
     _check_index(n)
-    p1 = IntPolynomial.generator(SPHERE_GENS, "p1")
-    values = [IntPolynomial.constant(SPHERE_GENS, 2), IntPolynomial.zero(SPHERE_GENS)]
-    for _ in range(2, n + 1):
-        values.append(p1 * values[-2])
-    return values[n]
+    if n % 2 == 1:
+        return IntPolynomial.zero(SPHERE_GENS)
+    return 2 * IntPolynomial.generator(SPHERE_GENS, "p1") ** (n // 2)
 
 
 def proj_bundle_kappa(n: int) -> IntPolynomial:

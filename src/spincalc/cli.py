@@ -145,12 +145,11 @@ def _cmd_divisibility(args) -> None:
         )
         return
     bound = exact_arith.divisor_spin(n)
+    m = (n + 1) // 2
     if n % 2 == 0:
-        m = n // 2
         formula = f"2^{2 * m + 1}"
         bern_index = None
     else:
-        m = (n + 1) // 2
         formula = f"2^{2 * m} * den(B_{m}/{2 * m})"
         bern_index = m
     marker = (

@@ -1,9 +1,10 @@
 """Exact arithmetic in Z[zeta_m], the ring of integers of the m-th cyclotomic field.
 
 Elements are integer coefficient tuples on the power basis 1, x, ..., x^{d-1}
-with d = deg Phi_m, reduced modulo the m-th cyclotomic polynomial.  Only
-construction, addition and exact equality are needed by the multiplicity
-solver, so that is all there is.
+with d = deg Phi_m.  One long division by a monic polynomial does all the
+work: it builds Phi_m out of x^m - 1, and it reduces every element modulo
+Phi_m.  Only construction, addition and exact equality are needed by the
+multiplicity solver, so that is all there is.
 """
 
 from __future__ import annotations
@@ -13,89 +14,50 @@ from functools import lru_cache
 from .errors import DomainError
 
 
-def _divisors(m: int) -> list[int]:
-    out = [d for d in range(1, m + 1) if m % d == 0]
-    return out
-
-
-def _poly_mul(p: list[int], q: list[int]) -> list[int]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
-def _poly_divmod_exact(num: list[int], den: list[int]) -> list[int]:
-    """Quotient of num by monic den, asserting the remainder vanishes."""
+def _divmod(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of num by the monic den, lowest degree first."""
     num = list(num)
     dd = len(den) - 1
-    if den[-1] != 1:
-        raise DomainError("divisor must be monic")
     quot = [0] * (len(num) - dd)
-    for k in range(len(num) - dd, 0, -1):
-        c = num[k + dd - 1]
-        quot[k - 1] = c
+    for k in range(len(quot) - 1, -1, -1):
+        c = num[k + dd]
+        quot[k] = c
         if c:
             for j, b in enumerate(den):
-                num[k - 1 + j] -= c * b
-    if any(num):
-        raise DomainError("division left a remainder")
-    return quot
+                num[k + j] -= c * b
+    return quot, num[:dd]
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
-    """Coefficients of Phi_m, lowest degree first, computed by exact division
-    of x^m - 1 by the product of all lower Phi_d with d | m."""
+    """Coefficients of Phi_m, lowest degree first: x^m - 1 divided in turn by
+    Phi_d for every proper divisor d of m."""
     if m < 1:
         raise DomainError("m must be positive")
-    if m == 1:
-        return (-1, 1)
-    num = [0] * (m + 1)
-    num[0] = -1
-    num[m] = 1
-    den = [1]
-    for d in _divisors(m)[:-1]:
-        den = _poly_mul(den, list(cyclotomic_polynomial(d)))
-    return tuple(_poly_divmod_exact(num, den))
+    poly = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            poly = _divmod(poly, cyclotomic_polynomial(d))[0]
+    return tuple(poly)
 
 
-@lru_cache(maxsize=None)
 def degree(m: int) -> int:
     return len(cyclotomic_polynomial(m)) - 1
 
 
-@lru_cache(maxsize=None)
 def zeta_power(m: int, k: int) -> tuple[int, ...]:
     """x^k reduced mod Phi_m, as a coefficient tuple of length deg Phi_m."""
-    phi = cyclotomic_polynomial(m)
-    d = len(phi) - 1
-    k %= m
-    vec = [0] * d
-    if d == 0:
-        raise DomainError("degenerate cyclotomic polynomial")
-    vec[0] = 1
-    for _ in range(k):
-        top = vec[d - 1]
-        vec = [0] + vec[: d - 1]
-        if top:
-            vec = [v - top * phi[i] for i, v in enumerate(vec)]
-    return tuple(vec)
+    return element(m, {k: 1})
 
 
 def element(m: int, multiplicities: dict[int, int]) -> tuple[int, ...]:
-    """sum_e mu_e zeta_m^e as a reduced coefficient tuple."""
-    d = degree(m)
-    vec = [0] * d
+    """sum_e mu_e zeta_m^e as a reduced coefficient tuple: the multiplicities
+    summed by e mod m, then divided by Phi_m for the remainder."""
+    phi = cyclotomic_polynomial(m)
+    coeffs = [0] * m
     for e, mu in multiplicities.items():
-        if mu == 0:
-            continue
-        pw = zeta_power(m, e)
-        vec = [v + mu * p for v, p in zip(vec, pw)]
-    return tuple(vec)
+        coeffs[e % m] += mu
+    return tuple(_divmod(coeffs, phi)[1])
 
 
 def integer_element(m: int, n: int) -> tuple[int, ...]:

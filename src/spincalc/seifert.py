@@ -239,7 +239,7 @@ def multiplicity_solve(
         raise DomainError("root-of-unity order must be positive")
     if dimension < 0:
         raise DomainError("dimension must be nonnegative")
-    exps = tuple(sorted(set(int(e) % m for e in allowed)))
+    exps = tuple(sorted(set(_json_int(e) % m for e in allowed)))
     if not exps:
         raise DomainError("allowed exponent set is empty")
 

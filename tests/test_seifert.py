@@ -1,9 +1,12 @@
 """Tests for Seifert data, the multiplicity solver, and the e-invariants."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from spincalc.cyclotomic import cyclotomic_polynomial, element
 from spincalc.errors import (
     CentralBehaviorError,
     DomainError,
@@ -123,6 +126,12 @@ def test_multiplicity_solver_small_cases():
 
 def test_multiplicity_solver_exponents_are_normalized():
     assert multiplicity_solve(6, 28, 2, (7, 3, -1)) == (10, 8, 10)
+
+
+@pytest.mark.parametrize("bad", [1.9, "1", True])
+def test_multiplicity_solver_exponents_must_be_integers(bad):
+    with pytest.raises(TypeError):
+        multiplicity_solve(6, 28, 2, (bad, 3, 5))
 
 
 def test_multiplicity_solver_forced_zero_orbits():
@@ -502,3 +511,114 @@ def test_einvariant_document_error_paths():
     del doc["profiles"][0]["s_values"]
     with pytest.raises(DomainError):
         einvariant_document(doc)
+
+
+def _shift_kernel(m):
+    """Psi_m = (x^m - 1) / Phi_m, the product of Phi_d over proper divisors d.
+
+    An integer combination c of the powers of zeta_m vanishes exactly when
+    Phi_m divides c(x), that is when c(x) * Psi_m(x) is 0 modulo x^m - 1.
+    So x^e maps to Psi_m turned cyclically by e places, and the trace
+    identity becomes a linear equation over Z^m.
+    """
+    psi = [1]
+    for d in range(1, m):
+        if m % d == 0:
+            phi = cyclotomic_polynomial(d)
+            out = [0] * (len(psi) + len(phi) - 1)
+            for i, a in enumerate(psi):
+                for j, b in enumerate(phi):
+                    out[i + j] += a * b
+            psi = out
+    psi += [0] * (m - len(psi))
+    return [tuple(psi[(i - e) % m] for i in range(m)) for e in range(m)]
+
+
+def _solve_oracle(m, dimension, trace, allowed, real):
+    """All multiplicity vectors by definition, or None past the search cap.
+
+    With real=True, mu_e = mu_{-e}, and an exponent whose conjugate is not
+    allowed has mu_e = 0; so the unknowns are the conjugation orbits.
+    """
+    exps = sorted({e % m for e in allowed})
+    if real:
+        unknowns = sorted({tuple(sorted({e, -e % m})) for e in exps if -e % m in exps})
+    else:
+        unknowns = [(e,) for e in exps]
+    bound = 1
+    for members in unknowns:
+        bound *= dimension // len(members) + 1
+    if bound > 2_000_000:
+        return exps, None
+    turned = _shift_kernel(m)
+    columns = [
+        tuple(sum(turned[e][i] for e in members) for i in range(m)) for members in unknowns
+    ]
+    target = tuple(trace * c for c in turned[0])
+    found = []
+
+    def assign(i, remaining, ks, total):
+        if i == len(unknowns):
+            if remaining == 0 and total == target:
+                mu = {e: k for members, k in zip(unknowns, ks) for e in members}
+                found.append(tuple(mu.get(e, 0) for e in exps))
+            return
+        size = len(unknowns[i])
+        # the last unknown can only take what is left of the dimension
+        last = i == len(unknowns) - 1
+        for k in [remaining // size] if last else range(remaining // size + 1):
+            step = tuple(t + k * c for t, c in zip(total, columns[i]))
+            assign(i + 1, remaining - k * size, ks + [k], step)
+
+    assign(0, dimension, [], (0,) * m)
+    return exps, found
+
+
+def _planted_case(rng, m):
+    """Multiplicities constant on each Galois orbit {e : gcd(e, m) = g}, so
+    their trace is a rational integer and the solver has something to find."""
+    by_gcd = {}
+    for e in range(m):
+        by_gcd.setdefault(math.gcd(e, m), []).append(e)
+    mults = {}
+    for orbit in by_gcd.values():
+        k = rng.randint(0, 2)
+        if k and sum(mults.values()) + k * len(orbit) <= 12:
+            mults.update({e: k for e in orbit})
+    reduced = element(m, mults)
+    extra = rng.sample(range(m), rng.randint(0, min(2, m)))
+    allowed = {e + m * rng.randint(-1, 2) for e in set(mults) | set(extra)}
+    return sum(mults.values()), reduced[0], tuple(allowed or {0})
+
+
+def test_multiplicity_solver_matches_the_definition_on_seeded_cases():
+    rng = random.Random(4000)
+    outcomes = {"solved": 0, "ambiguous": 0, "none": 0, "cap": 0}
+    for case in range(4000):
+        m = rng.randint(1, 12)
+        real = rng.random() < 0.5
+        if case % 2:
+            dimension, trace, allowed = _planted_case(rng, m)
+        else:
+            dimension = rng.randint(0, 12)
+            trace = rng.randint(-dimension, dimension)
+            allowed = tuple(rng.sample(range(-m, 2 * m), rng.randint(1, m)))
+        exps, expected = _solve_oracle(m, dimension, trace, allowed, real)
+        if expected is None:
+            with pytest.raises(EnumerationCapError):
+                multiplicity_solve(m, dimension, trace, allowed, real=real)
+            outcomes["cap"] += 1
+        elif len(expected) == 1:
+            assert multiplicity_solve(m, dimension, trace, allowed, real=real) == expected[0]
+            outcomes["solved"] += 1
+        else:
+            with pytest.raises(MultiplicityError) as info:
+                multiplicity_solve(m, dimension, trace, allowed, real=real)
+            assert sorted(info.value.solutions) == sorted(expected)
+            kind = "no" if not expected else str(len(expected))
+            assert str(info.value) == (
+                f"{kind} multiplicity solutions for m={m}, dimension={dimension}, "
+                f"trace={trace}, allowed={tuple(exps)}"
+            )
+            outcomes["ambiguous" if expected else "none"] += 1
+    assert all(outcomes.values()), outcomes
