@@ -93,6 +93,7 @@ class QuadraticForm(namedtuple("QuadraticForm", "g basis_values gram")):
         if not 0 <= basis_values < (1 << (2 * g)):
             raise InvalidFormError("basis values must fit in 2g bits")
         if gram is not None:
+            gram = tuple(gram)
             n = 2 * g
             if len(gram) != n:
                 raise InvalidFormError("Gram matrix must have 2g rows")
@@ -100,11 +101,12 @@ class QuadraticForm(namedtuple("QuadraticForm", "g basis_values gram")):
                 raise InvalidFormError("Gram rows must fit in 2g bits")
             if any((gram[i] >> i) & 1 for i in range(n)):
                 raise InvalidFormError("pairing must be alternating")
-            if any(
-                ((gram[i] >> j) & 1) != ((gram[j] >> i) & 1)
-                for i in range(n)
-                for j in range(i + 1, n)
-            ):
+            transpose = [0] * n
+            for i, row in enumerate(gram):
+                while row:
+                    transpose[(row & -row).bit_length() - 1] |= 1 << i
+                    row &= row - 1
+            if tuple(transpose) != gram:
                 raise InvalidFormError("pairing must be symmetric")
             # Raises DegeneratePairingError when the pairing has a radical.
             symplectic_basis(gram)
@@ -148,6 +150,38 @@ def eval_form(q: QuadraticForm, x: int) -> int:
     return linear ^ ((x & upper).bit_count() & 1)
 
 
+def _reduce(gram: tuple[int, ...], basis_values: int) -> tuple[list[int], int]:
+    """symplectic_basis(gram) and q's values on it, packed like basis_values."""
+    vectors = [1 << i for i in range(len(gram))]
+    images = list(gram)
+    values = [(basis_values >> i) & 1 for i in range(len(gram))]
+    a_side: list[int] = []
+    b_side: list[int] = []
+    bits = 0
+    while vectors:
+        v, bv, qv = vectors.pop(0), images.pop(0), values.pop(0)
+        for k, u in enumerate(vectors):
+            if (bv & u).bit_count() & 1:
+                break
+        else:
+            raise DegeneratePairingError("vector with no symplectic partner")
+        w, bw, qw = vectors.pop(k), images.pop(k), values.pop(k)
+        bits |= qv << len(a_side) | qw << (len(gram) // 2 + len(a_side))
+        a_side.append(v)
+        b_side.append(w)
+        for k, bu in enumerate(images):
+            uv = (bu & v).bit_count() & 1
+            if (bu & w).bit_count() & 1:
+                vectors[k] ^= v
+                images[k] ^= bv
+                values[k] ^= qv ^ uv
+            if uv:
+                vectors[k] ^= w
+                images[k] ^= bw
+                values[k] ^= qw
+    return a_side + b_side, bits
+
+
 def symplectic_basis(gram: tuple[int, ...]) -> list[int]:
     """A basis (a_1..a_g, b_1..b_g) with a_i.b_j = delta_ij, a_i.a_j = b_i.b_j = 0.
 
@@ -159,43 +193,18 @@ def symplectic_basis(gram: tuple[int, ...]) -> list[int]:
     Each candidate u carries its image Bu, the XOR of the Gram rows at its
     set bits, starting from Be_i = gram[i].  Images change linearly with the
     vectors (u ^= v gives Bu ^= Bv), so every pairing u.y is the parity of
-    Bu & y: one AND and one popcount.
+    Bu & y: one AND and one popcount.  u also carries q(u) for normalize: adding
+    v adds q(v) + u.v, then adding w adds q(w) alone, as u.w is 0 by then.
     """
-    vectors = [1 << i for i in range(len(gram))]
-    images = list(gram)
-    a_side: list[int] = []
-    b_side: list[int] = []
-    while vectors:
-        v = vectors.pop(0)
-        bv = images.pop(0)
-        for k, u in enumerate(vectors):
-            if (bv & u).bit_count() & 1:
-                break
-        else:
-            raise DegeneratePairingError("vector with no symplectic partner")
-        w = vectors.pop(k)
-        bw = images.pop(k)
-        a_side.append(v)
-        b_side.append(w)
-        for k, bu in enumerate(images):
-            if (bu & w).bit_count() & 1:
-                vectors[k] ^= v
-                images[k] ^= bv
-            if (bu & v).bit_count() & 1:
-                vectors[k] ^= w
-                images[k] ^= bw
-    return a_side + b_side
+    return _reduce(gram, 0)[0]
 
 
 def normalize(q: QuadraticForm) -> QuadraticForm:
-    """The same form written in a symplectic basis (standard pairing)."""
+    """The same form written in a symplectic basis (standard pairing), its
+    values carried through the reduction by q(u + v) = q(u) + q(v) + u.v."""
     if q.is_standard:
         return q
-    basis = symplectic_basis(q.gram)
-    bv = 0
-    for i, v in enumerate(basis):
-        bv |= eval_form(q, v) << i
-    return QuadraticForm(q.g, bv)
+    return QuadraticForm(q.g, _reduce(q.gram, q.basis_values)[1])
 
 
 def _halves(q: QuadraticForm) -> tuple[int, int]:
@@ -353,11 +362,11 @@ def forms_isomorphic(
     raise InvalidFormError("equal Arf invariants but no witness found")
 
 
-def random_symplectic(g: int, rng: random.Random):
+def random_symplectic(g: int, rng) -> tuple[int, ...]:
     """A pseudo-random element of Sp(2g, F2), as a product of transvections.
 
-    Each transvection T_v(x) = x + (x.v) v preserves the pairing, so any
-    product does.
+    Each transvection T_v(x) = x + (x.v) v, v drawn by rng (a random.Random),
+    preserves the pairing, so any product does.
     """
     n = 2 * g
     cols = [1 << i for i in range(n)]

@@ -235,6 +235,7 @@ def multiplicity_solve(
     carrying the full solution list when there is no solution or more than
     one.
     """
+    m, dimension, trace = _json_int(m), _json_int(dimension), _json_int(trace)
     if m < 1:
         raise DomainError("root-of-unity order must be positive")
     if dimension < 0:

@@ -70,6 +70,60 @@ def test_quadratic_form_validation():
     q = QuadraticForm(2, 5, gram=standard_gram(2))
     assert q.is_standard and q.gram is None
     assert q == QuadraticForm(2, 5)
+    # so does one given as a list, which then hashes like the tuple form
+    q = QuadraticForm(1, 0, [2, 1])
+    assert q.is_standard and q == QuadraticForm(1, 0, (2, 1))
+    assert hash(q) == hash(QuadraticForm(1, 0))
+    q = QuadraticForm(2, 0, [2, 1, 8, 4])
+    assert q.gram == (2, 1, 8, 4) and hash(q) == hash(QuadraticForm(2, 0, q.gram))
+
+
+def checked_form(g, bv, gram):
+    """QuadraticForm's checks made one by one, the symmetry check bit pair by
+    bit pair; the form, or the class and message of the error raised."""
+    n = 2 * g
+    try:
+        if len(gram) != n:
+            raise InvalidFormError("Gram matrix must have 2g rows")
+        if any(not 0 <= row < (1 << n) for row in gram):
+            raise InvalidFormError("Gram rows must fit in 2g bits")
+        if any((gram[i] >> i) & 1 for i in range(n)):
+            raise InvalidFormError("pairing must be alternating")
+        if any(
+            ((gram[i] >> j) & 1) != ((gram[j] >> i) & 1)
+            for i in range(n)
+            for j in range(i + 1, n)
+        ):
+            raise InvalidFormError("pairing must be symmetric")
+        loop_symplectic_basis(gram)
+    except (InvalidFormError, DegeneratePairingError) as exc:
+        return type(exc), str(exc)
+    return (g, bv, None if gram == standard_gram(g) else tuple(gram))
+
+
+def built_form(g, bv, gram):
+    try:
+        return tuple(QuadraticForm(g, bv, gram))
+    except (InvalidFormError, DegeneratePairingError) as exc:
+        return type(exc), str(exc)
+
+
+def test_gram_checks_match_the_pairwise_reference():
+    # every 4-row 0/1 matrix, then seeded 16-row ones: alternating ones with
+    # a bit flipped now and then, so each check fires and some pass
+    for bits in range(1 << 16):
+        gram = tuple((bits >> (4 * i)) & 15 for i in range(4))
+        assert built_form(2, 6, gram) == checked_form(2, 6, gram)
+    rng = random.Random(16)
+    seen = set()
+    for _ in range(2000):
+        rows = list(alternating_gram(16, rng.getrandbits(120)))
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            rows[rng.randrange(16)] ^= 1 << rng.randrange(16)
+        want = checked_form(8, 3, tuple(rows))
+        assert built_form(8, 3, rows) == want
+        seen.add(want[1] if isinstance(want[1], str) else "ok")
+    assert len(seen) == 4
 
 
 def test_genus_one_values():
@@ -394,14 +448,38 @@ def test_symplectic_basis_matches_the_loop_reference():
     assert 0 < degenerate < len(grams)
 
 
-def test_normalize_matches_the_loop_reference_at_genus_8():
-    rng = random.Random(88)
-    for _ in range(20):
-        gram = conjugated_gram(8, random_invertible(8, rng))
-        q = QuadraticForm(8, rng.randrange(1 << 16), gram=gram)
-        basis = loop_symplectic_basis(gram)
+def nondegenerate_gram(n, rng):
+    """A uniformly random nondegenerate alternating Gram matrix with n rows."""
+    while True:
+        gram = alternating_gram(n, rng.getrandbits(n * (n - 1) // 2))
+        if f2_rank(gram) == n:
+            return gram
+
+
+def test_normalize_matches_the_loop_reference():
+    # every nondegenerate Gram with 2 and 4 rows under every basis value, and
+    # 512 seeded forms for each even row count 6 to 16
+    rng = random.Random(10)
+    forms = [
+        QuadraticForm(n // 2, bv, gram=gram)
+        for n in (2, 4)
+        for u in range(1 << (n * (n - 1) // 2))
+        if f2_rank(gram := alternating_gram(n, u)) == n
+        for bv in range(1 << n)
+    ]
+    forms += [
+        QuadraticForm(n // 2, rng.getrandbits(n), gram=nondegenerate_gram(n, rng))
+        for n in range(6, 17, 2)
+        for _ in range(512)
+    ]
+    for q in forms:
+        basis = loop_symplectic_basis(q.gram or standard_gram(q.g))
         bv = sum(expanded_value(q, v) << i for i, v in enumerate(basis))
-        assert normalize(q) == QuadraticForm(8, bv)
+        want = QuadraticForm(q.g, bv)
+        assert normalize(q) == want
+        assert arf_basis(q) == arf_basis(want)
+        assert arf_gauss(q) == arf_gauss(want)
+        assert count_zeros(q) == count_zeros(want)
 
 
 def test_eval_form_matches_the_expansion_on_gram_forms():

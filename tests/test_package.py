@@ -1,14 +1,19 @@
-"""Tests for the package namespace: names are re-exported lazily, and a layer
-is imported only when one of its names is first looked up.
+"""Tests for the package namespace: names are re-exported lazily, a layer
+is imported only when one of its names is first looked up, and every
+annotation resolves.
 
-Each check runs in a fresh interpreter, so that no other test has imported
-a layer before it.
+Each import check runs in a fresh interpreter, so that no other test has
+imported a layer before it.
 """
 
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
+import typing
 
 import spincalc
 
@@ -88,3 +93,23 @@ def test_unknown_names_raise_attribute_error():
         "    print(json.dumps(str(exc)))"
     )
     assert report == "module 'spincalc' has no attribute 'no_such_name'"
+
+
+def test_every_annotation_resolves():
+    # typing.get_type_hints evaluates each postponed annotation in its
+    # module's namespace, so a name used only in an annotation must exist
+    checked = 0
+    for info in pkgutil.iter_modules(spincalc.__path__):
+        module = importlib.import_module(f"spincalc.{info.name}")
+        for value in vars(module).values():
+            if getattr(value, "__module__", None) != module.__name__:
+                continue
+            members = [value]
+            if inspect.isclass(value):
+                members = list(vars(value).values())
+            for member in members:
+                member = getattr(member, "__func__", getattr(member, "fget", member))
+                if inspect.isfunction(member):
+                    typing.get_type_hints(member)
+                    checked += 1
+    assert checked > 100

@@ -134,6 +134,14 @@ def test_multiplicity_solver_exponents_must_be_integers(bad):
         multiplicity_solve(6, 28, 2, (bad, 3, 5))
 
 
+@pytest.mark.parametrize(
+    "args", [(5.0, 4, 1), (5, 4.0, 1), (5, 4, 1.5), (True, 4, 1), (5, 4, True), (5, "4", 1)]
+)
+def test_multiplicity_solver_order_dimension_and_trace_must_be_integers(args):
+    with pytest.raises(TypeError, match="expected an integer"):
+        multiplicity_solve(*args, (0, 1, 2, 3, 4))
+
+
 def test_multiplicity_solver_forced_zero_orbits():
     # with real=True an exponent whose conjugate is excluded must vanish
     assert multiplicity_solve(5, 0, 0, (1,)) == (0,)
