@@ -42,6 +42,7 @@ _HOME = {
     "count_zeros": "f2_forms",
     "direct_sum": "f2_forms",
     "enumerate_forms": "f2_forms",
+    "eval_form": "f2_forms",
     "forms_isomorphic": "f2_forms",
     "normalize": "f2_forms",
     "random_symplectic": "f2_forms",

@@ -9,10 +9,8 @@ the Newton recursion with c1 = 0.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .errors import DomainError
-from .exact_arith import bernoulli_quotient
 from .polynomials import QUOTIENT_GENS, IntPolynomial, QuotientedPolynomial
 
 SPHERE_GENS = ("p1",)
@@ -162,15 +160,3 @@ def serre_duality_check(g: int, m: int) -> bool:
     coker = cokernel_dim(g, m)
     return ker - coker == (2 * m - 1) * (g - 1)
 
-
-def odd_symplectic_constant(k: int) -> Fraction:
-    """The rational constant tying s_{2k-1} to kappa_{2k-1}: B_k / 2k."""
-    return bernoulli_quotient(k)
-
-
-def check_odd_symplectic_identity(
-    s_poly: IntPolynomial, kappa_poly: IntPolynomial, k: int
-) -> bool:
-    """Verify s_{2k-1} = (B_k / 2k) * kappa_{2k-1} by clearing denominators."""
-    c = odd_symplectic_constant(k)
-    return c.denominator * s_poly == c.numerator * kappa_poly

@@ -45,11 +45,6 @@ def degree(m: int) -> int:
     return len(cyclotomic_polynomial(m)) - 1
 
 
-def zeta_power(m: int, k: int) -> tuple[int, ...]:
-    """x^k reduced mod Phi_m, as a coefficient tuple of length deg Phi_m."""
-    return element(m, {k: 1})
-
-
 def element(m: int, multiplicities: dict[int, int]) -> tuple[int, ...]:
     """sum_e mu_e zeta_m^e as a reduced coefficient tuple: the multiplicities
     summed by e mod m, then divided by Phi_m for the remainder."""

@@ -24,7 +24,8 @@ class EnumerationCapError(SpincalcError):
 
 
 class WitnessSearchError(SpincalcError):
-    """Witness production was requested outside the supported range."""
+    """A search for a witness came back empty; only find_presentation_triple
+    raises it."""
 
 
 class InvalidFormError(SpincalcError):

@@ -18,7 +18,6 @@ enumeration here is authoritative).
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 
 from . import _kernels
 from .errors import (
@@ -27,7 +26,6 @@ from .errors import (
     DomainError,
     EnumerationCapError,
     InvalidFormError,
-    WitnessSearchError,
 )
 
 # The largest genus enumerated exhaustively.  It is a memory bound: one value
@@ -124,6 +122,8 @@ class QuadraticForm(namedtuple("QuadraticForm", "g basis_values gram")):
 
     def pair(self, x: int, y: int) -> int:
         """The underlying symplectic pairing x.y."""
+        if not (0 <= x < 1 << self.dim and 0 <= y < 1 << self.dim):
+            raise DomainError("vector must fit in 2g bits")
         if self.is_standard:
             return _standard_pair(self.g, x, y)
         return (apply_map(self.gram, x) & y).bit_count() & 1
@@ -298,38 +298,36 @@ def apply_map(cols: tuple[int, ...], x: int) -> int:
     return out
 
 
-def is_symplectic(g: int, cols: tuple[int, ...]) -> bool:
-    """Does the map preserve the standard pairing on all basis pairs."""
-    n = 2 * g
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _standard_pair(g, cols[i], cols[j]) != _standard_pair(g, 1 << i, 1 << j):
-                return False
-    return True
+def _normal_basis(q: QuadraticForm) -> list[int]:
+    """Columns of a symplectic M that puts the standard form q in Arf's normal
+    form: q(M x) has every basis value 0, except q(a_1) = q(b_1) = 1 when the
+    Arf invariant is 1.
 
-
-@lru_cache(maxsize=None)
-def symplectic_group(g: int) -> tuple[tuple[int, ...], ...]:
-    """All of Sp(2g, F2) as column tuples; only tractable for g <= 2."""
-    if g > 2:
-        raise WitnessSearchError("symplectic group enumeration is limited to g <= 2")
-    n = 2 * g
-    members = []
-    def build(cols: list[int]) -> None:
-        if len(cols) == n:
-            members.append(tuple(cols))
-            return
-        i = len(cols)
-        for v in range(1, 1 << n):
-            ok = True
-            for j in range(i):
-                if _standard_pair(g, cols[j], v) != _standard_pair(g, 1 << j, 1 << i):
-                    ok = False
-                    break
-            if ok:
-                build(cols + [v])
-    build([])
-    return tuple(members)
+    Each hyperbolic plane (a_i, b_i) is fixed by its values: (1, 0) takes
+    a_i + b_i, (0, 1) takes b_i + a_i, and two (1, 1) planes i and j become
+    (a_i + a_j, a_i + a_j + b_i) and (a_j + b_i + b_j, b_i + b_j).  A (1, 1)
+    plane left over swaps into plane 1.
+    """
+    g = q.g
+    a = [1 << i for i in range(g)]
+    b = [1 << (g + i) for i in range(g)]
+    odd = None  # a (1, 1) plane still waiting for a partner
+    for j in range(g):
+        qa, qb = (q.basis_values >> j) & 1, (q.basis_values >> (g + j)) & 1
+        if qa and not qb:
+            a[j] ^= b[j]
+        elif qb and not qa:
+            b[j] ^= a[j]
+        elif qa and odd is None:
+            odd = j
+        elif qa:
+            i, odd = odd, None
+            a[i], b[i], a[j], b[j] = (
+                a[i] ^ a[j], a[i] ^ a[j] ^ b[i], a[j] ^ b[i] ^ b[j], b[i] ^ b[j]
+            )
+    if odd is not None:
+        a[0], a[odd], b[0], b[odd] = a[odd], a[0], b[odd], b[0]
+    return a + b
 
 
 def forms_isomorphic(
@@ -338,28 +336,27 @@ def forms_isomorphic(
     """Equivalence of forms; with witness=True also a symplectic map T.
 
     Two refinements of pairings of equal dimension are equivalent exactly
-    when their Arf invariants agree.  The witness T satisfies
-    q2(T x) = q1(x) for every x and is searched over the full symplectic
-    group, which is enumerated only for g <= 2.
+    when their Arf invariants agree.  The witness T is symplectic with
+    p2(T x) = p1(x) for every x, where p1 = normalize(q1) and
+    p2 = normalize(q2).  It is built at every genus from Arf's normal form:
+    with M_p from _normal_basis, T = M_{p2} M_{p1}^{-1}.
     """
     if q1.g != q2.g:
         raise DimensionMismatchError("forms live in different dimensions")
-    answer = arf_basis(q1) == arf_basis(q2)
+    p1, p2 = normalize(q1), normalize(q2)
+    answer = arf_basis(p1) == arf_basis(p2)
     if not witness:
         return answer
-    if q1.g > 2:
-        raise WitnessSearchError("witness search is limited to g <= 2")
     if not answer:
         return False, None
-    p, r = normalize(q1), normalize(q2)
-    n = 2 * p.g
-    for cols in symplectic_group(p.g):
-        if all(
-            eval_form(r, apply_map(cols, x)) == eval_form(p, x)
-            for x in range(1 << n)
-        ):
-            return True, cols
-    raise InvalidFormError("equal Arf invariants but no witness found")
+    g = q1.g
+    m1, m2 = _normal_basis(p1), _normal_basis(p2)
+    # M^{-1} x = sum_i (m_{partner(i)} . x) e_i, the partner of column i
+    # being column i + g or i - g; m1[i - g] indexes exactly that.
+    return True, tuple(
+        apply_map(m2, sum(_standard_pair(g, m1[i - g], 1 << k) << i for i in range(2 * g)))
+        for k in range(2 * g)
+    )
 
 
 def random_symplectic(g: int, rng) -> tuple[int, ...]:

@@ -37,10 +37,6 @@ def inv(x: Element) -> Element:
     return (d % P, -b % P, -c % P, a % P)
 
 
-def neg(x: Element) -> Element:
-    return tuple(-v % P for v in x)
-
-
 def power(x: Element, k: int) -> Element:
     if k < 0:
         return power(inv(x), -k)
@@ -89,20 +85,11 @@ def center_elements() -> tuple[Element, ...]:
     return tuple(g for g in group if all(mul(g, h) == mul(h, g) for h in group))
 
 
-def verify_perfect(elements: tuple[Element, ...] | None = None) -> bool:
-    """Is the commutator subgroup of the given subgroup the whole subgroup.
-
-    Defaults to the full group.  Negative controls such as the center or a
-    cyclic subgroup run through the same closure computation and come back
-    False.
-    """
-    subgroup = tuple(elements) if elements is not None else enumerate_group()
-    members = set(subgroup)
-    commutators = {
-        mul(mul(x, y), mul(inv(x), inv(y))) for x in subgroup for y in subgroup
-    }
-    if not commutators <= members:
-        raise DomainError("input is not closed under commutators; not a subgroup?")
+def verify_perfect() -> bool:
+    """Is the group its own commutator subgroup: do the commutators generate
+    all 120 elements."""
+    group = enumerate_group()
+    commutators = {mul(mul(x, y), mul(inv(x), inv(y))) for x in group for y in group}
     closure = set(commutators) | {IDENTITY}
     frontier = list(closure)
     while frontier:
@@ -112,16 +99,7 @@ def verify_perfect(elements: tuple[Element, ...] | None = None) -> bool:
             if z not in closure:
                 closure.add(z)
                 frontier.append(z)
-    return closure == members
-
-
-def cyclic_subgroup(x: Element) -> tuple[Element, ...]:
-    out = [IDENTITY]
-    y = x
-    while y != IDENTITY:
-        out.append(y)
-        y = mul(y, x)
-    return tuple(out)
+    return closure == set(group)
 
 
 class PresentationTriple(namedtuple("PresentationTriple", "h x1 x2 x3")):
@@ -155,38 +133,6 @@ def find_presentation_triple() -> PresentationTriple:
                 continue
             return PresentationTriple(h, x1, x2, x3)
     raise WitnessSearchError("no presentation triple found")
-
-
-def coset(g: Element) -> frozenset[Element]:
-    return frozenset((g, neg(g)))
-
-
-@lru_cache(maxsize=None)
-def quotient_cosets() -> tuple[frozenset[Element], ...]:
-    seen: set[frozenset[Element]] = set()
-    out = []
-    for g in enumerate_group():
-        c = coset(g)
-        if c not in seen:
-            seen.add(c)
-            out.append(c)
-    return tuple(out)
-
-
-def fixed_coset_count(x: Element) -> int:
-    """Number of cosets {g, -g} fixed by left translation by x."""
-    count = 0
-    for c in quotient_cosets():
-        g = next(iter(c))
-        if mul(x, g) in c:
-            count += 1
-    return count
-
-
-def doubled_pullback_regular_character(x: Element) -> int:
-    """Character of twice the pullback of the order-60 regular representation,
-    evaluated by counting fixed cosets: 120 on the center, 0 elsewhere."""
-    return 2 * fixed_coset_count(x)
 
 
 class RestrictionProfile(

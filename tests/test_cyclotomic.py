@@ -9,9 +9,10 @@ from spincalc.cyclotomic import (
     degree,
     element,
     integer_element,
-    zeta_power,
 )
 from spincalc.errors import DomainError
+
+from reference import zeta_power
 
 
 def test_cyclotomic_polynomials():

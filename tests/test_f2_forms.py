@@ -27,13 +27,13 @@ from spincalc.f2_forms import (
     form_from_bitstring,
     form_to_doc,
     forms_isomorphic,
-    is_symplectic,
     normalize,
     random_symplectic,
     standard_gram,
     symplectic_basis,
-    symplectic_group,
 )
+
+from reference import is_symplectic, symplectic_group
 
 
 def test_arf_value_validation():
@@ -184,6 +184,13 @@ def test_fast_pairing_matches_gram_rows():
                 assert q_std.pair(x, y) == gram_pair(gram, x, y)
 
 
+def test_pair_rejects_vectors_outside_the_space():
+    for q in (QuadraticForm(1, 0), QuadraticForm(2, 0), QuadraticForm(2, 0, (2, 1, 8, 4))):
+        for x, y in ((1 << q.dim, 1), (1, 1 << q.dim), (-1, 1), (1, -1)):
+            with pytest.raises(DomainError, match="^vector must fit in 2g bits$"):
+                q.pair(x, y)
+
+
 def transformed_form(q, cols):
     """q composed with the linear map given by columns, via basis values."""
     bv = 0
@@ -294,6 +301,7 @@ def test_forms_isomorphic_boolean():
 
 def test_forms_isomorphic_witness():
     for g in (1, 2):
+        group = set(symplectic_group(g))
         forms = enumerate_forms(g)
         for q1 in forms:
             for q2 in forms[:: max(1, len(forms) // 4)]:
@@ -304,14 +312,58 @@ def test_forms_isomorphic_witness():
                 ok, cols = result
                 assert ok
                 assert is_symplectic(g, cols)
+                assert cols in group
                 for x in range(1 << (2 * g)):
                     assert eval_form(q2, apply_map(cols, x)) == eval_form(q1, x)
 
 
-def test_forms_isomorphic_witness_cap():
-    q = QuadraticForm(3, 0)
-    with pytest.raises(WitnessSearchError):
-        forms_isomorphic(q, q, witness=True)
+def assert_witness(p, r, cols):
+    """cols is symplectic and carries the standard form p to r: both refine
+    the same pairing, so agreeing on a basis is agreeing everywhere."""
+    assert len(cols) == p.dim and is_symplectic(p.g, cols)
+    for k in range(p.dim):
+        assert eval_form(r, cols[k]) == eval_form(p, 1 << k)
+
+
+def equal_arf_pair(g, rng):
+    bv1 = rng.getrandbits(2 * g)
+    while True:
+        bv2 = rng.getrandbits(2 * g)
+        q1, q2 = QuadraticForm(g, bv1), QuadraticForm(g, bv2)
+        if arf_basis(q1) == arf_basis(q2):
+            return q1, q2
+
+
+def test_forms_isomorphic_witness_at_every_genus():
+    rng = random.Random(20261018)
+    for g in [*range(3, 17), 20, 64]:
+        for _ in range(20 if g <= 16 else 3):
+            q1, q2 = equal_arf_pair(g, rng)
+            ok, cols = forms_isomorphic(q1, q2, witness=True)
+            assert ok
+            assert_witness(q1, q2, cols)
+
+
+def test_forms_isomorphic_witness_on_gram_forms():
+    # the witness lives in the coordinates of the normalized forms
+    rng = random.Random(8)
+    for g in (1, 2, 3, 5, 8):
+        for _ in range(20):
+            q1 = QuadraticForm(g, rng.getrandbits(2 * g), nondegenerate_gram(2 * g, rng))
+            q2 = QuadraticForm(g, rng.getrandbits(2 * g), nondegenerate_gram(2 * g, rng))
+            ok, cols = forms_isomorphic(q1, q2, witness=True)
+            assert ok == (arf_basis(q1) == arf_basis(q2))
+            if ok:
+                assert_witness(normalize(q1), normalize(q2), cols)
+            else:
+                assert cols is None
+
+
+def test_forms_isomorphic_witness_unequal_arf():
+    for g in (3, 4, 8, 20, 64):
+        even, odd = QuadraticForm(g, 0), QuadraticForm(g, 1 | 1 << g)
+        assert forms_isomorphic(even, odd, witness=True) == (False, None)
+        assert forms_isomorphic(odd, even, witness=True) == (False, None)
 
 
 def f2_rank(rows):

