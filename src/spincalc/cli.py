@@ -1,9 +1,11 @@
 """Command line interface.
 
 Every subcommand prints a human-readable line or two by default and a JSON
-document with --json.  Exit codes: 0 on success, 1 on a domain error (the
-message goes to stderr), 2 on usage errors (argparse's own convention).
-Identical invocations produce byte-identical output.
+document with --json.  Each _cmd_* handler returns the pair (human, doc), and
+`main` prints one of them: it is the only code that serialises a result.
+Exit codes: 0 on success, 1 on a domain error (the message goes to stderr),
+2 on usage errors (argparse's own convention).  Identical invocations produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -18,21 +20,17 @@ import sys
 from .errors import SpincalcError
 
 
-def _emit(args, human: str, doc: dict) -> None:
-    if args.json:
-        print(json.dumps(doc, indent=2))
-    else:
-        print(human)
-
-
-def _format_modz(value, order: int | None = None) -> str:
-    text = str(value.legible())
+def _format_modz(doc: dict, order: int | None = None) -> str:
+    """A residue mod Z, from its to_doc() form, as it reads: the alias if there
+    is one, else the residue, and then the order if it is known."""
+    value = doc["alias"] or doc["residue"]
+    text = value["num"] if value["den"] == "1" else f"{value['num']}/{value['den']}"
     if order is not None:
         text += f" (order {order})"
     return text
 
 
-def _cmd_arf(args) -> None:
+def _cmd_arf(args) -> tuple[str, dict]:
     from . import f2_forms
 
     q = f2_forms.form_from_bitstring(args.g, args.basis_values)
@@ -43,8 +41,7 @@ def _cmd_arf(args) -> None:
         if gauss != arf:
             raise SpincalcError("basis and Gauss-sum routes disagree")
         method = "basis+gauss"
-    _emit(
-        args,
+    return (
         f"arf = {arf.additive} (multiplicative {arf.multiplicative:+d})",
         {
             "g": q.g,
@@ -56,7 +53,7 @@ def _cmd_arf(args) -> None:
     )
 
 
-def _cmd_forms(args) -> None:
+def _cmd_forms(args) -> tuple[str, dict]:
     from . import f2_forms
 
     n_plus, n_minus = f2_forms.count_by_arf(args.g)
@@ -81,33 +78,28 @@ def _cmd_forms(args) -> None:
         human += "\n" + "\n".join(
             f"{e['basis_values']} arf {e['arf']}" for e in entries
         )
-    _emit(args, human, doc)
+    return human, doc
 
 
-def _cmd_zeros(args) -> None:
+def _cmd_zeros(args) -> tuple[str, dict]:
     from . import f2_forms
 
     q = f2_forms.form_from_bitstring(args.g, args.basis_values)
     z = f2_forms.count_zeros(q)
-    _emit(
-        args,
+    return (
         f"{z} zeros among {1 << (2 * q.g)} vectors",
         {"g": q.g, "basis_values": args.basis_values, "zeros": z},
     )
 
 
-def _cmd_bernoulli(args) -> None:
+def _cmd_bernoulli(args) -> tuple[str, dict]:
     from . import exact_arith
 
     b = exact_arith.bernoulli_paper(args.k)
-    _emit(
-        args,
-        f"B_{args.k} = {b}",
-        {"k": args.k, "value": exact_arith.fraction_doc(b)},
-    )
+    return f"B_{args.k} = {b}", {"k": args.k, "value": exact_arith.fraction_doc(b)}
 
 
-def _cmd_vonstaudt(args) -> None:
+def _cmd_vonstaudt(args) -> tuple[str, dict]:
     from . import exact_arith
 
     k = args.k
@@ -119,8 +111,7 @@ def _cmd_vonstaudt(args) -> None:
     rendered = " * ".join(
         f"{p}^{e}" if e > 1 else str(p) for p, e in factorization.items()
     )
-    _emit(
-        args,
+    return (
         f"den(B_{k}/{2 * k}) = {den} = {rendered}",
         {
             "k": k,
@@ -132,18 +123,16 @@ def _cmd_vonstaudt(args) -> None:
     )
 
 
-def _cmd_divisibility(args) -> None:
+def _cmd_divisibility(args) -> tuple[str, dict]:
     from . import exact_arith
 
     n = args.index
-    oriented = exact_arith.divisor_oriented(n)
     if not args.spin:
-        _emit(
-            args,
+        oriented = exact_arith.divisor_oriented(n)
+        return (
             f"oriented divisor of kappa_{n}: {oriented}",
             {"index": n, "oriented_divisor": str(oriented)},
         )
-        return
     bound = exact_arith.divisor_spin(n)
     m = (n + 1) // 2
     if n % 2 == 0:
@@ -157,17 +146,14 @@ def _cmd_divisibility(args) -> None:
     )
     doc = {
         "index": n,
-        "oriented_divisor": str(oriented),
+        "oriented_divisor": str(bound.oriented_divisor),
         "spin_divisor": str(bound.spin_divisor),
         "formula": formula,
         "bernoulli_index": bern_index,
         "maximality": bound.spin_maximality,
     }
-    _emit(
-        args,
-        f"spin divisor of kappa_{n}: {formula} = {bound.spin_divisor} ({marker})",
-        doc,
-    )
+    human = f"spin divisor of kappa_{n}: {formula} = {bound.spin_divisor} ({marker})"
+    return human, doc
 
 
 # For each class and family: the char_classes function computing it and the
@@ -186,13 +172,12 @@ _CLASSES = {
 }
 
 
-def _cmd_class(args) -> None:
+def _cmd_class(args) -> tuple[str, dict]:
     from . import char_classes
 
     function, ring = _CLASSES[args.command][args.family]
     poly = getattr(char_classes, function)(args.n)
-    _emit(
-        args,
+    return (
         f"{args.command}_{args.n} = {poly.render()}",
         {
             "family": args.family,
@@ -204,14 +189,13 @@ def _cmd_class(args) -> None:
     )
 
 
-def _cmd_rr(args) -> None:
+def _cmd_rr(args) -> tuple[str, dict]:
     from . import char_classes
 
     record = char_classes.riemann_roch_dim(args.genus, args.power)
     coker = char_classes.cokernel_dim(args.genus, args.power)
     index = record.dimension - coker
-    _emit(
-        args,
+    return (
         f"dim ker = {record.dimension}, dim coker = {coker}, index = {index}",
         {
             "genus": args.genus,
@@ -237,83 +221,61 @@ def _load_document(path: str) -> dict:
         raise SpincalcError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _cmd_seifert_check(args) -> None:
+def _cmd_seifert_check(args) -> tuple[str, dict]:
     from . import seifert
 
     doc = seifert.seifert_check_document(_load_document(args.input))
     verdict = "yes" if doc["is_integral_homology_sphere"] else "no"
-    _emit(
-        args,
+    return (
         f"obstruction a*sum(b/a) = {doc['obstruction']}; "
         f"integral homology sphere: {verdict}",
         doc,
     )
 
 
-def _cmd_einvariant(args) -> None:
-    from fractions import Fraction
-
+def _cmd_einvariant(args) -> tuple[str, dict]:
     from . import seifert
-    from .exact_arith import ModZ
 
     if args.example is not None:
-        result = seifert.icosahedral_example(args.example)
-        if result.kind == "e":
-            human = _format_modz(result.value, result.order)
-        else:
-            constraint = ", ".join(str(c) for c in result.order_constraint)
-            human = (
-                f"2*Re({result.rep.dimension}*e) = {result.value.legible()} "
-                f"(mod Z); order in {{{constraint}}}"
-            )
-        _emit(args, human, seifert.example_document(result))
-        return
+        doc = seifert.example_document(seifert.icosahedral_example(args.example))
+        if doc["kind"] == "e":
+            return _format_modz(doc["value"], doc["order"]), doc
+        constraint = ", ".join(str(c) for c in doc["order_constraint"])
+        return (
+            f"2*Re({doc['N']}*e) = {_format_modz(doc['value'])} "
+            f"(mod Z); order in {{{constraint}}}",
+            doc,
+        )
     doc = seifert.einvariant_document(_load_document(args.input))
-    value = ModZ(Fraction(f"{doc['e_invariant']['residue']['num']}/"
-                          f"{doc['e_invariant']['residue']['den']}"))
-    if doc["kind"] == "e":
-        human = f"e = {_format_modz(value, doc['order'])}"
-    else:
-        human = f"2*Re({doc['N']}*e) = {_format_modz(value, doc['order'])}"
-    _emit(args, human, doc)
+    label = "e" if doc["kind"] == "e" else f"2*Re({doc['N']}*e)"
+    return f"{label} = {_format_modz(doc['e_invariant'], doc['order'])}", doc
 
 
-def _cmd_stabilize(args) -> None:
+def _cmd_stabilize(args) -> tuple[str, dict]:
     from . import seifert
 
     value = seifert.stabilized_e(args.n)
-    base = seifert.icosahedral_example(3).value
-    increment = seifert.regular_increment()
     order = seifert.order_in_pi3(value)
-    _emit(
-        args,
-        f"stabilized e after {args.n} step(s): {_format_modz(value, order)}",
-        {
-            "n": args.n,
-            "base": base.to_doc(),
-            "increment": increment.to_doc(),
-            "value": value.to_doc(),
-            "order": order,
-        },
-    )
+    doc = {
+        "n": args.n,
+        "base": seifert.icosahedral_example(3).value.to_doc(),
+        "increment": seifert.regular_increment().to_doc(),
+        "value": value.to_doc(),
+        "order": order,
+    }
+    human = f"stabilized e after {args.n} step(s): {_format_modz(doc['value'], order)}"
+    return human, doc
 
 
-def _cmd_icosa(args) -> None:
+def _cmd_icosa(args) -> tuple[str, dict]:
     from . import icosa_group
 
-    if args.census:
-        census = icosa_group.element_order_census()
-        human = "order census: " + ", ".join(
-            f"{order}:{count}" for order, count in census.items()
-        )
-        _emit(
-            args,
-            human,
-            {"order": 120, "order_census": [[o, c] for o, c in census.items()]},
-        )
-        return
-    group = icosa_group.enumerate_group()
     census = icosa_group.element_order_census()
+    census_line = "order census: " + ", ".join(f"{o}:{c}" for o, c in census.items())
+    census_doc = [[o, c] for o, c in census.items()]
+    if args.census:
+        return census_line, {"order": 120, "order_census": census_doc}
+    group = icosa_group.enumerate_group()
     perfect = icosa_group.verify_perfect()
     center = icosa_group.center_elements()
     triple = icosa_group.find_presentation_triple()
@@ -325,21 +287,19 @@ def _cmd_icosa(args) -> None:
             f"group order: {len(group)}",
             f"perfect: {'yes' if perfect else 'no'}",
             f"center size: {len(center)}",
-            "order census: "
-            + ", ".join(f"{o}:{c}" for o, c in census.items()),
+            census_line,
             f"presentation triple: x1={triple.x1}, x2={triple.x2}, x3={triple.x3}",
             "regular restrictions: "
             + ", ".join(f"order {m}: {p.copies} copies" for m, p in profiles.items()),
         ]
     )
-    _emit(
-        args,
+    return (
         human,
         {
             "order": len(group),
             "perfect": perfect,
             "center_size": len(center),
-            "order_census": [[o, c] for o, c in census.items()],
+            "order_census": census_doc,
             "presentation": {
                 "h": list(triple.h),
                 "x1": list(triple.x1),
@@ -371,23 +331,24 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    p = add("arf", _cmd_arf, "Arf invariant of a quadratic form over F2")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--basis-values", required=True)
+    for name, func, help_text in (
+        ("arf", _cmd_arf, "Arf invariant of a quadratic form over F2"),
+        ("forms", _cmd_forms, "census of quadratic forms of a given genus"),
+        ("zeros", _cmd_zeros, "zero count of a quadratic form"),
+    ):
+        p = add(name, func, help_text)
+        p.add_argument("--g", type=int, required=True)
+        if name == "forms":
+            p.add_argument("--list", action="store_true")
+        else:
+            p.add_argument("--basis-values", required=True)
 
-    p = add("forms", _cmd_forms, "census of quadratic forms of a given genus")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--list", action="store_true")
-
-    p = add("zeros", _cmd_zeros, "zero count of a quadratic form")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--basis-values", required=True)
-
-    p = add("bernoulli", _cmd_bernoulli, "positive Bernoulli number B_k")
-    p.add_argument("--k", type=int, required=True)
-
-    p = add("vonstaudt", _cmd_vonstaudt, "denominator of B_k/2k with factorization")
-    p.add_argument("--k", type=int, required=True)
+    for name, func, help_text in (
+        ("bernoulli", _cmd_bernoulli, "positive Bernoulli number B_k"),
+        ("vonstaudt", _cmd_vonstaudt, "denominator of B_k/2k with factorization"),
+    ):
+        p = add(name, func, help_text)
+        p.add_argument("--k", type=int, required=True)
 
     p = add("divisibility", _cmd_divisibility, "divisibility bound for kappa_n")
     p.add_argument("--index", type=int, required=True)
@@ -425,14 +386,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # Exact answers print in full: lift the 4,300-digit int/str cap that
-    # Python has had since 3.10.7 (older releases have no cap and no setter).
+    # Numbers of any length are read and printed in full: lift the
+    # 4,300-digit int/str cap that Python has had since 3.10.7 (older
+    # releases have no cap and no setter) before the arguments are parsed.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
+    args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        human, doc = args.func(args)
+        print(json.dumps(doc, indent=2) if args.json else human)
         sys.stdout.flush()
     except SpincalcError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

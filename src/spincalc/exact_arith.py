@@ -140,17 +140,12 @@ def divisor_spin(n: int) -> DivisibilityBound:
 
     Even n = 2m: the divisor is 2^{2m+1} and this is maximal.  Odd
     n = 2m - 1: the divisor is 2^{2m} * den(B_m / 2m), known only as a
-    lower bound.  Example: n = 1 gives 4 * 12 = 48.
+    lower bound.  Example: n = 1 gives 4 * 12 = 48.  Both are the oriented
+    divisor times 4^ceil(n/2): better by a power of 2.
     """
-    if n < 1:
-        raise DomainError("index must be a positive integer")
     oriented = divisor_oriented(n)
-    if n % 2 == 0:
-        m = n // 2
-        return DivisibilityBound(n, oriented, 2 ** (2 * m + 1), "proven_maximal")
-    m = (n + 1) // 2
-    spin = 2 ** (2 * m) * von_staudt_den(m)
-    return DivisibilityBound(n, oriented, spin, "lower_bound_only")
+    maximality = "proven_maximal" if n % 2 == 0 else "lower_bound_only"
+    return DivisibilityBound(n, oriented, 4 ** ((n + 1) // 2) * oriented, maximality)
 
 
 class ModZ(namedtuple("ModZ", "residue")):

@@ -12,7 +12,7 @@ from functools import cache
 
 from spincalc.cyclotomic import element
 from spincalc.errors import DomainError, WitnessSearchError
-from spincalc.exact_arith import bernoulli_quotient
+from spincalc.exact_arith import DivisibilityBound, bernoulli_quotient, von_staudt_den
 from spincalc.f2_forms import QuadraticForm
 from spincalc.icosa_group import IDENTITY, P, enumerate_group, inv, mul
 
@@ -123,6 +123,21 @@ def doubled_pullback_regular_character(x) -> int:
     """Character of twice the pullback of the order-60 regular representation,
     evaluated by counting fixed cosets: 120 on the center, 0 elsewhere."""
     return 2 * fixed_coset_count(x)
+
+
+# --------------------------------------------------------------- exact_arith
+
+
+def divisor_spin_by_parity(n: int) -> DivisibilityBound:
+    """The spin divisor of kappa_n by the two cases of the paper: 2^{2m+1} at
+    even n = 2m, proven maximal, and 2^{2m} * den(B_m / 2m) at odd
+    n = 2m - 1, a lower bound only."""
+    if n % 2 == 0:
+        m = n // 2
+        return DivisibilityBound(n, 2, 2 ** (2 * m + 1), "proven_maximal")
+    m = (n + 1) // 2
+    den = von_staudt_den(m)
+    return DivisibilityBound(n, den, 2 ** (2 * m) * den, "lower_bound_only")
 
 
 # -------------------------------------------------------------- char_classes

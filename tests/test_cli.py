@@ -479,6 +479,42 @@ def test_long_e_invariants_print_in_full(tmp_path, long_int_strings):
     assert doc["order"] is None
 
 
+def test_integer_arguments_of_any_length_are_read(long_int_strings):
+    m = 10**4400
+    out = subprocess.run(
+        [sys.executable, "-m", "spincalc.cli", "rr", "--genus", "3", "--power", str(m)],
+        env=_src_env(),
+        capture_output=True,
+        text=True,
+    )
+    index = (2 * m - 1) * (3 - 1)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout == f"dim ker = {index}, dim coker = 0, index = {index}\n"
+
+
+def test_benchmark_probe_prints_what_the_cli_prints(tmp_path):
+    """perfbench/cli_probe.py times the CLI by patching `build_parser`,
+    `print` and `json` in its module: with those hooks in place the probe
+    must print what the plain CLI prints, and record the three spans."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), str(root / "perfbench")]
+    ))
+    argv = ["arf", "--g", "1", "--basis-values", "11", "--json"]
+    spans = tmp_path / "spans.jsonl"
+    probe, plain = (
+        subprocess.run(command + argv, env=env, capture_output=True, text=True)
+        for command in (
+            [sys.executable, str(root / "perfbench" / "cli_probe.py"), str(spans)],
+            [sys.executable, "-m", "spincalc.cli"],
+        )
+    )
+    assert (plain.returncode, plain.stderr) == (0, "")
+    assert (probe.returncode, probe.stdout, probe.stderr) == (0, plain.stdout, "")
+    names = {json.loads(line)[0] for line in spans.read_text().splitlines()[1:]}
+    assert {"cli.parse", "cli.serialise", "cli.main"} <= names
+
+
 def _readme_examples():
     """(arguments, stdout) for each `$ spincalc` line of the README that is
     followed by output."""
@@ -531,6 +567,38 @@ _SCALAR_BUNDLE = {
 }
 
 _POINCARE_PAIRS = {"pairs": [[2, -1], [3, 1], [5, 1]]}
+
+_GOLDEN_FILE = pathlib.Path(__file__).resolve().parent / "cli_golden.json"
+
+
+def _write_documents(directory):
+    (directory / "pairs.json").write_text(json.dumps(_POINCARE_PAIRS))
+    (directory / "bundle.json").write_text(json.dumps(_README_BUNDLE))
+    (directory / "scalar.json").write_text(json.dumps(_SCALAR_BUNDLE))
+
+
+# Every README example as --json, and the commands the README shows no
+# output for, in both forms.  cli_golden.json holds their stdout, key order
+# and indentation included, and it must not change by a byte.
+_GOLDEN_ARGUMENTS = [f"{arguments} --json" for arguments, _ in _README_EXAMPLES] + [
+    f"{arguments}{flag}"
+    for arguments in (
+        "icosa --verify",
+        "seifert-check --input pairs.json",
+        "einvariant --input bundle.json",
+        "einvariant --input scalar.json",
+    )
+    for flag in ("", " --json")
+]
+
+
+def test_output_matches_recorded_bytes(capsys, tmp_path, monkeypatch):
+    golden = json.loads(_GOLDEN_FILE.read_text(encoding="utf-8"))
+    assert sorted(golden) == sorted(_GOLDEN_ARGUMENTS)
+    _write_documents(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    for arguments in _GOLDEN_ARGUMENTS:
+        assert run_cli(capsys, *shlex.split(arguments)) == (0, golden[arguments], "")
 
 
 _PROBED_ARGV = [shlex.split(arguments) for arguments, _ in _README_EXAMPLES] + [

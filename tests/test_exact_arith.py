@@ -19,6 +19,8 @@ from spincalc.exact_arith import (
     von_staudt_factorization,
 )
 
+from reference import divisor_spin_by_parity
+
 
 def classical_bernoulli(n_max):
     """B_0 .. B_n in the classical convention, by the defining recurrence.
@@ -153,6 +155,14 @@ def test_divisor_spin_refines_oriented_by_a_two_power():
         quotient, remainder = divmod(bound.spin_divisor, bound.oriented_divisor)
         assert remainder == 0
         assert quotient & (quotient - 1) == 0
+
+
+def test_divisor_spin_matches_the_two_case_formula():
+    for n in range(1, 501):
+        assert divisor_spin(n) == divisor_spin_by_parity(n)
+    for n in (0, -3):
+        with pytest.raises(DomainError, match="^index must be a positive integer$"):
+            divisor_spin(n)
 
 
 def test_divisibility_bound_consistency_guard():
