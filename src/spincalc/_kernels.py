@@ -42,12 +42,13 @@ def _pair_part(g: int) -> int:
 
 
 def form_values(g: int, basis_values: int) -> int:
-    """q(x) for every vector x, packed as bit x of an int of 4^g bits."""
+    """q(x) for every vector x, packed as bit x of an int of 4^g bits: the pair
+    part XOR the coordinate masks C_j at the set bits j of basis_values only."""
     masks = _coordinate_masks(2 * g)
     table = _pair_part(g)
-    for j in range(2 * g):
-        if (basis_values >> j) & 1:
-            table ^= masks[j]
+    while basis_values:
+        table ^= masks[(basis_values & -basis_values).bit_length() - 1]
+        basis_values &= basis_values - 1
     return table
 
 

@@ -254,12 +254,12 @@ def _cmd_einvariant(args) -> tuple[str, dict]:
 def _cmd_stabilize(args) -> tuple[str, dict]:
     from . import seifert
 
-    value = seifert.stabilized_e(args.n)
+    base, increment, value = seifert.stabilization(args.n)
     order = seifert.order_in_pi3(value)
     doc = {
         "n": args.n,
-        "base": seifert.icosahedral_example(3).value.to_doc(),
-        "increment": seifert.regular_increment().to_doc(),
+        "base": base.to_doc(),
+        "increment": increment.to_doc(),
         "value": value.to_doc(),
         "order": order,
     }

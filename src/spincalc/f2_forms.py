@@ -63,14 +63,17 @@ class ArfValue(namedtuple("ArfValue", "additive multiplicative")):
 
     @classmethod
     def from_additive(cls, a: int) -> "ArfValue":
-        a &= 1
-        return cls(a, (-1) ** a)
+        return _ARF[a & 1]
 
     @classmethod
     def from_multiplicative(cls, m: int) -> "ArfValue":
         if m not in (1, -1):
             raise DomainError("multiplicative Arf invariant must be +1 or -1")
-        return cls(0 if m == 1 else 1, m)
+        return _ARF[0 if m == 1 else 1]
+
+
+# Every Arf result is one of these two records.
+_ARF = (ArfValue(0, 1), ArfValue(1, -1))
 
 
 class QuadraticForm(namedtuple("QuadraticForm", "g basis_values gram")):
@@ -199,31 +202,34 @@ def symplectic_basis(gram: tuple[int, ...]) -> list[int]:
     return _reduce(gram, 0)[0]
 
 
+def _values(q: QuadraticForm) -> int:
+    """q's values on a symplectic basis, packed like basis_values."""
+    return q.basis_values if q.gram is None else _reduce(q.gram, q.basis_values)[1]
+
+
 def normalize(q: QuadraticForm) -> QuadraticForm:
     """The same form written in a symplectic basis (standard pairing), its
     values carried through the reduction by q(u + v) = q(u) + q(v) + u.v."""
-    if q.is_standard:
+    if q.gram is None:
         return q
-    return QuadraticForm(q.g, _reduce(q.gram, q.basis_values)[1])
+    # _reduce's values fit in 2g bits, so the checks are skipped, as in _replace.
+    return tuple.__new__(QuadraticForm, (q.g, _values(q), None))
 
 
-def _halves(q: QuadraticForm) -> tuple[int, int]:
-    """(q(a_1..a_g), q(b_1..b_g)) as two g-bit masks, in a symplectic basis."""
-    qq = normalize(q)
-    return qq.basis_values & ((1 << qq.g) - 1), qq.basis_values >> qq.g
+def _arf(g: int, values: int) -> ArfValue:
+    """sum_i q(a_i) q(b_i), from q's values on a symplectic basis."""
+    return _ARF[(values & values >> g).bit_count() & 1]
 
 
 def arf_basis(q: QuadraticForm) -> ArfValue:
     """Arf invariant as sum_i q(a_i) q(b_i) over a symplectic basis."""
-    lo, hi = _halves(q)
-    return ArfValue.from_additive((lo & hi).bit_count() & 1)
+    return _arf(q.g, _values(q))
 
 
 def _value_table(q: QuadraticForm, cap: int) -> int:
     """The 4^g-bit table whose bit x is q(x), in a symplectic basis."""
     _check_cap(q.g, cap)
-    qq = normalize(q)
-    return _kernels.form_values(qq.g, qq.basis_values)
+    return _kernels.form_values(q.g, _values(q))
 
 
 def arf_gauss(q: QuadraticForm, cap: int = DEFAULT_GENUS_CAP) -> ArfValue:
@@ -232,12 +238,10 @@ def arf_gauss(q: QuadraticForm, cap: int = DEFAULT_GENUS_CAP) -> ArfValue:
     The sum is computed by exhaustive enumeration and must come out as
     +-2^g; anything else means the input was not a quadratic refinement.
     """
-    total = (1 << q.dim) - 2 * _value_table(q, cap).bit_count()
-    if total == 1 << q.g:
-        return ArfValue.from_multiplicative(1)
-    if total == -(1 << q.g):
-        return ArfValue.from_multiplicative(-1)
-    raise InvalidFormError(f"Gauss sum {total} is not +-2^{q.g}")
+    total = (1 << 2 * q.g) - 2 * _value_table(q, cap).bit_count()
+    if abs(total) != 1 << q.g:
+        raise InvalidFormError(f"Gauss sum {total} is not +-2^{q.g}")
+    return _ARF[total < 0]
 
 
 def count_zeros(q: QuadraticForm, cap: int = DEFAULT_GENUS_CAP) -> int:
@@ -246,7 +250,7 @@ def count_zeros(q: QuadraticForm, cap: int = DEFAULT_GENUS_CAP) -> int:
     Always 2^{g-1} (2^g + arf(q)) with arf multiplicative: the three even
     forms at g = 1 have 3 zeros each and the odd form has 1.
     """
-    return (1 << q.dim) - _value_table(q, cap).bit_count()
+    return (1 << 2 * q.g) - _value_table(q, cap).bit_count()
 
 
 def _check_cap(g: int, cap: int) -> None:
@@ -279,10 +283,10 @@ def count_by_arf(g: int, cap: int = DEFAULT_GENUS_CAP) -> tuple[int, int]:
 
 def direct_sum(q1: QuadraticForm, q2: QuadraticForm) -> QuadraticForm:
     """Orthogonal direct sum, with the two bases concatenated blockwise."""
-    (p_lo, p_hi), (r_lo, r_hi) = _halves(q1), _halves(q2)
-    lo = p_lo | r_lo << q1.g
-    hi = p_hi | r_hi << q1.g
-    g = q1.g + q2.g
+    g1, v1, v2 = q1.g, _values(q1), _values(q2)
+    lo = v1 & ((1 << g1) - 1) | (v2 & ((1 << q2.g) - 1)) << g1
+    hi = v1 >> g1 | (v2 >> q2.g) << g1
+    g = g1 + q2.g
     return QuadraticForm(g, lo | hi << g)
 
 
@@ -298,22 +302,21 @@ def apply_map(cols: tuple[int, ...], x: int) -> int:
     return out
 
 
-def _normal_basis(q: QuadraticForm) -> list[int]:
-    """Columns of a symplectic M that puts the standard form q in Arf's normal
-    form: q(M x) has every basis value 0, except q(a_1) = q(b_1) = 1 when the
-    Arf invariant is 1.
+def _normal_basis(g: int, values: int) -> list[int]:
+    """Columns of a symplectic M that puts the standard form q of genus g with
+    these basis values in Arf's normal form: q(M x) has every basis value 0,
+    except q(a_1) = q(b_1) = 1 when the Arf invariant is 1.
 
     Each hyperbolic plane (a_i, b_i) is fixed by its values: (1, 0) takes
     a_i + b_i, (0, 1) takes b_i + a_i, and two (1, 1) planes i and j become
     (a_i + a_j, a_i + a_j + b_i) and (a_j + b_i + b_j, b_i + b_j).  A (1, 1)
     plane left over swaps into plane 1.
     """
-    g = q.g
     a = [1 << i for i in range(g)]
     b = [1 << (g + i) for i in range(g)]
     odd = None  # a (1, 1) plane still waiting for a partner
     for j in range(g):
-        qa, qb = (q.basis_values >> j) & 1, (q.basis_values >> (g + j)) & 1
+        qa, qb = (values >> j) & 1, (values >> (g + j)) & 1
         if qa and not qb:
             a[j] ^= b[j]
         elif qb and not qa:
@@ -343,14 +346,14 @@ def forms_isomorphic(
     """
     if q1.g != q2.g:
         raise DimensionMismatchError("forms live in different dimensions")
-    p1, p2 = normalize(q1), normalize(q2)
-    answer = arf_basis(p1) == arf_basis(p2)
+    g = q1.g
+    v1, v2 = _values(q1), _values(q2)
+    answer = _arf(g, v1) == _arf(g, v2)
     if not witness:
         return answer
     if not answer:
         return False, None
-    g = q1.g
-    m1, m2 = _normal_basis(p1), _normal_basis(p2)
+    m1, m2 = _normal_basis(g, v1), _normal_basis(g, v2)
     # M^{-1} x = sum_i (m_{partner(i)} . x) e_i, the partner of column i
     # being column i + g or i - g; m1[i - g] indexes exactly that.
     return True, tuple(
@@ -375,9 +378,7 @@ def random_symplectic(g: int, rng) -> tuple[int, ...]:
 
 def form_to_doc(q: QuadraticForm) -> dict:
     """Serialize as {"g": g, "basis_values": bitstring}, bit i first."""
-    qq = normalize(q)
-    bits = "".join(str((qq.basis_values >> i) & 1) for i in range(2 * qq.g))
-    return {"g": qq.g, "basis_values": bits}
+    return {"g": q.g, "basis_values": format(_values(q), f"0{2 * q.g}b")[::-1]}
 
 
 def form_from_bitstring(g: int, bits: str) -> QuadraticForm:

@@ -390,12 +390,18 @@ def regular_increment() -> ModZ:
     return e_simple(POINCARE, rep)
 
 
+def stabilization(n: int) -> tuple[ModZ, ModZ, ModZ]:
+    """(e(example 3), the regular increment, stabilized_e(n)), each built once."""
+    if n < 0:
+        raise DomainError("stabilization count must be nonnegative")
+    base, increment = icosahedral_example(3).value, regular_increment()
+    return base, increment, base + n * increment
+
+
 def stabilized_e(n: int) -> ModZ:
     """e-invariant after n stabilizations by the 120-dimensional regular
     bundle: e(example 3) + n * (-1/3)."""
-    if n < 0:
-        raise DomainError("stabilization count must be nonnegative")
-    return icosahedral_example(3).value + n * regular_increment()
+    return stabilization(n)[2]
 
 
 def order_in_pi3(value: ModZ) -> int:

@@ -11,9 +11,9 @@ from __future__ import annotations
 from functools import cache
 
 from spincalc.cyclotomic import element
-from spincalc.errors import DomainError, WitnessSearchError
+from spincalc.errors import DegeneratePairingError, DomainError, WitnessSearchError
 from spincalc.exact_arith import DivisibilityBound, bernoulli_quotient, von_staudt_den
-from spincalc.f2_forms import QuadraticForm
+from spincalc.f2_forms import QuadraticForm, standard_gram
 from spincalc.icosa_group import IDENTITY, P, enumerate_group, inv, mul
 
 # ------------------------------------------------------------------ f2_forms
@@ -50,6 +50,73 @@ def symplectic_group(g: int) -> tuple[tuple[int, ...], ...]:
 
     build([])
     return tuple(members)
+
+
+def gram_pair(gram, x, y):
+    """x.y summed row by row: x_i (row_i . y) over the set bits i of x."""
+    acc = 0
+    for i, row in enumerate(gram):
+        if (x >> i) & 1:
+            acc ^= (row & y).bit_count() & 1
+    return acc
+
+
+def loop_symplectic_basis(gram):
+    """Symplectic Gram-Schmidt that pairs every vector with gram_pair.
+
+    The reference for symplectic_basis, which must make the same choices
+    in the same order and so return the same list.
+    """
+    candidates = [1 << i for i in range(len(gram))]
+    a_side = []
+    b_side = []
+    while candidates:
+        v = candidates.pop(0)
+        partner_at = next(
+            (k for k, u in enumerate(candidates) if gram_pair(gram, v, u) == 1), None
+        )
+        if partner_at is None:
+            raise DegeneratePairingError("vector with no symplectic partner")
+        w = candidates.pop(partner_at)
+        a_side.append(v)
+        b_side.append(w)
+        candidates = [
+            u
+            ^ (v if gram_pair(gram, u, w) else 0)
+            ^ (w if gram_pair(gram, u, v) else 0)
+            for u in candidates
+        ]
+    return a_side + b_side
+
+
+def expanded_value(q, x):
+    """q(sum x_i e_i) = sum x_i q(e_i) + sum_{i<j} x_i x_j B_ij, term by term."""
+    n = q.dim
+    gram = q.gram or standard_gram(q.g)
+    bits = [(x >> i) & 1 for i in range(n)]
+    value = sum(bits[i] * ((q.basis_values >> i) & 1) for i in range(n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            value += bits[i] * bits[j] * ((gram[i] >> j) & 1)
+    return value & 1
+
+
+def normal_values(q):
+    """q's values on loop_symplectic_basis, each by expanded_value, packed
+    like basis_values: the values of normalize(q)."""
+    basis = loop_symplectic_basis(q.gram or standard_gram(q.g))
+    return sum(expanded_value(q, v) << i for i, v in enumerate(basis))
+
+
+def arf_of_values(g, values):
+    """sum_i q(a_i) q(b_i) mod 2, term by term, from values in a symplectic
+    basis packed like basis_values."""
+    return sum((values >> i) & (values >> (g + i)) & 1 for i in range(g)) % 2
+
+
+def zeros_by_enumeration(q):
+    """The number of vectors x with q(x) = 0, each one by expanded_value."""
+    return sum(1 - expanded_value(q, x) for x in range(1 << (2 * q.g)))
 
 
 # --------------------------------------------------------------- icosa_group

@@ -208,6 +208,11 @@ def test_stabilize(capsys):
     assert doc["value"]["residue"] == {"num": "1", "den": "4"}
     assert doc["increment"]["residue"] == {"num": "2", "den": "3"}
     assert doc["order"] == 4
+    # a negative count is refused before anything is computed or printed
+    for argv in (["--n", "-1"], ["--n", "-1", "--json"]):
+        assert run_cli(capsys, "stabilize", *argv) == (
+            1, "", "error: DomainError: stabilization count must be nonnegative\n"
+        )
 
 
 def test_icosa_census(capsys):
@@ -383,17 +388,23 @@ def test_cli_import_pulls_in_no_numeric_backend():
     assert out.stdout == "[]\n"
 
 
+# the F2 commands need no rational arithmetic and no other layer
+F2_UNUSED = {"seifert", "exact_arith", "fractions", "char_classes", "polynomials"}
+
+
 @pytest.mark.parametrize(
     "argv, needed, unused",
     [
         (["bernoulli", "--k", "5"], "exact_arith", {"seifert", "f2_forms"}),
-        (["arf", "--g", "1", "--basis-values", "11"], "f2_forms", {"seifert"}),
+        (["arf", "--g", "1", "--basis-values", "11"], "f2_forms", F2_UNUSED),
         (["kappa", "--family", "sphere", "--n", "2"], "char_classes",
          {"seifert", "exact_arith", "fractions"}),
         (["lambda", "--family", "sphere", "--n", "6"], "char_classes",
          {"exact_arith", "fractions"}),
         (["rr", "--genus", "2", "--power", "3"], "char_classes",
          {"exact_arith", "fractions"}),
+        (["forms", "--g", "3"], "f2_forms", F2_UNUSED),
+        (["zeros", "--g", "2", "--basis-values", "1011"], "f2_forms", F2_UNUSED),
     ],
 )
 def test_subcommand_loads_only_the_layers_it_uses(argv, needed, unused):

@@ -33,7 +33,16 @@ from spincalc.f2_forms import (
     symplectic_basis,
 )
 
-from reference import is_symplectic, symplectic_group
+from reference import (
+    arf_of_values,
+    expanded_value,
+    gram_pair,
+    is_symplectic,
+    loop_symplectic_basis,
+    normal_values,
+    symplectic_group,
+    zeros_by_enumeration,
+)
 
 
 def test_arf_value_validation():
@@ -423,55 +432,6 @@ def standard_pairing_entry(g, i, j):
     return 0
 
 
-def gram_pair(gram, x, y):
-    """x.y summed row by row: x_i (row_i . y) over the set bits i of x."""
-    acc = 0
-    for i, row in enumerate(gram):
-        if (x >> i) & 1:
-            acc ^= (row & y).bit_count() & 1
-    return acc
-
-
-def loop_symplectic_basis(gram):
-    """Symplectic Gram-Schmidt that pairs every vector with gram_pair.
-
-    The reference for symplectic_basis, which must make the same choices
-    in the same order and so return the same list.
-    """
-    candidates = [1 << i for i in range(len(gram))]
-    a_side = []
-    b_side = []
-    while candidates:
-        v = candidates.pop(0)
-        partner_at = next(
-            (k for k, u in enumerate(candidates) if gram_pair(gram, v, u) == 1), None
-        )
-        if partner_at is None:
-            raise DegeneratePairingError("vector with no symplectic partner")
-        w = candidates.pop(partner_at)
-        a_side.append(v)
-        b_side.append(w)
-        candidates = [
-            u
-            ^ (v if gram_pair(gram, u, w) else 0)
-            ^ (w if gram_pair(gram, u, v) else 0)
-            for u in candidates
-        ]
-    return a_side + b_side
-
-
-def expanded_value(q, x):
-    """q(sum x_i e_i) = sum x_i q(e_i) + sum_{i<j} x_i x_j B_ij, term by term."""
-    n = q.dim
-    gram = q.gram or standard_gram(q.g)
-    bits = [(x >> i) & 1 for i in range(n)]
-    value = sum(bits[i] * ((q.basis_values >> i) & 1) for i in range(n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            value += bits[i] * bits[j] * ((gram[i] >> j) & 1)
-    return value & 1
-
-
 def outcome(basis_of, gram):
     """The basis, or the class and message of the error raised instead."""
     try:
@@ -525,9 +485,7 @@ def test_normalize_matches_the_loop_reference():
         for _ in range(512)
     ]
     for q in forms:
-        basis = loop_symplectic_basis(q.gram or standard_gram(q.g))
-        bv = sum(expanded_value(q, v) << i for i, v in enumerate(basis))
-        want = QuadraticForm(q.g, bv)
+        want = QuadraticForm(q.g, normal_values(q))
         assert normalize(q) == want
         assert arf_basis(q) == arf_basis(want)
         assert arf_gauss(q) == arf_gauss(want)
@@ -645,3 +603,93 @@ def test_form_to_doc_normalizes_first():
     q = QuadraticForm(2, 9, gram=gram)
     doc = form_to_doc(q)
     assert form_from_bitstring(doc["g"], doc["basis_values"]) == normalize(q)
+
+
+def trimmed_path_forms(rng):
+    """Every standard form at g = 1..4, then 512 seeded Gram forms for each
+    even row count 6 to 16; each genus fills an even run of indices, so
+    forms k and k ^ 1 have the same genus."""
+    forms = [QuadraticForm(g, bv) for g in (1, 2, 3, 4) for bv in range(1 << (2 * g))]
+    forms += [
+        QuadraticForm(n // 2, rng.getrandbits(n), gram=nondegenerate_gram(n, rng))
+        for n in range(6, 17, 2)
+        for _ in range(512)
+    ]
+    return forms
+
+
+def test_packed_value_path_matches_the_reference_routes():
+    forms = trimmed_path_forms(random.Random(13))
+    values = [normal_values(q) for q in forms]
+    for k, (q, bv) in enumerate(zip(forms, values)):
+        g = q.g
+        a = arf_of_values(g, bv)
+        want = ArfValue(a, (-1) ** a)
+        # every vector where 4^g is small, the closed form 2^{g-1} (2^g +- 1)
+        # from the basis route elsewhere
+        if g <= 3:
+            zeros = zeros_by_enumeration(q)
+            assert 2 * zeros - (1 << (2 * g)) == want.multiplicative << g
+        else:
+            zeros = (1 << (g - 1)) * ((1 << g) + want.multiplicative)
+        for got in (arf_basis(q), arf_gauss(q)):
+            assert got == want and type(got) is ArfValue
+            assert repr(got) == f"ArfValue(additive={a}, multiplicative={(-1) ** a})"
+        assert count_zeros(q) == zeros
+        std = QuadraticForm(g, bv)
+        p = normalize(q)
+        assert p == std and type(p) is QuadraticForm
+        assert hash(p) == hash(std) and repr(p) == repr(std)
+        assert form_to_doc(q) == {
+            "g": g, "basis_values": "".join(str((bv >> i) & 1) for i in range(2 * g))
+        }
+        r, r_bv = forms[k ^ 1], values[k ^ 1]
+        lo = bv & ((1 << g) - 1) | (r_bv & ((1 << r.g) - 1)) << g
+        hi = bv >> g | (r_bv >> r.g) << g
+        assert direct_sum(q, r) == QuadraticForm(g + r.g, lo | hi << (g + r.g))
+        same = a == arf_of_values(r.g, r_bv)
+        assert forms_isomorphic(q, r) is same
+        ok, cols = forms_isomorphic(q, r, witness=True)
+        assert ok is same
+        if same:
+            assert_witness(std, QuadraticForm(g, r_bv), cols)
+        else:
+            assert cols is None
+
+
+def test_arf_values_are_the_two_shared_records():
+    assert ArfValue.from_additive(3).additive == 1
+    assert ArfValue.from_additive(2).additive == 0
+    assert ArfValue.from_additive(3) is ArfValue.from_additive(1)
+    assert ArfValue.from_multiplicative(-1) is ArfValue.from_additive(1)
+    q = QuadraticForm(2, 0b1111)
+    assert arf_basis(q) is arf_gauss(q) is ArfValue.from_multiplicative(1)
+    with pytest.raises(DomainError) as excinfo:
+        ArfValue.from_multiplicative(0)
+    assert str(excinfo.value) == "multiplicative Arf invariant must be +1 or -1"
+
+
+def test_gauss_routes_enumerate_the_value_table(monkeypatch):
+    # one full 4^g table per call, so the Gauss route stays an independent
+    # check on the basis route rather than its closed form
+    calls = []
+    table = _kernels.form_values
+
+    def spy(g, basis_values):
+        calls.append((g, basis_values))
+        return table(g, basis_values)
+
+    monkeypatch.setattr(_kernels, "form_values", spy)
+    rng = random.Random(17)
+    forms = [QuadraticForm(g, bv) for g in (1, 2, 3) for bv in range(1 << (2 * g))]
+    forms += [
+        QuadraticForm(n // 2, rng.getrandbits(n), gram=nondegenerate_gram(n, rng))
+        for n in (4, 6, 10, 16)
+        for _ in range(20)
+    ]
+    for q in forms:
+        p = normalize(q)
+        for route in (arf_gauss, count_zeros):
+            calls.clear()
+            route(q)
+            assert calls == [(q.g, p.basis_values)]

@@ -35,6 +35,7 @@ from spincalc.seifert import (
     regular_increment,
     s_from_exponents,
     seifert_check_document,
+    stabilization,
     stabilized_e,
 )
 
@@ -399,12 +400,14 @@ def test_stabilized_e_walks_down_by_thirds():
         expected = ModZ(Fraction(-1, 12) - Fraction(n, 3))
         assert stabilized_e(n) == expected
         assert stabilized_e(n) == base + n * regular_increment()
+        assert stabilization(n) == (base, regular_increment(), expected)
     assert stabilized_e(1).legible() == Fraction(-5, 12)
     assert stabilized_e(2).legible() == Fraction(1, 4)
     # the increment has order 3, so the walk has period 3
     assert stabilized_e(3) == stabilized_e(0)
-    with pytest.raises(DomainError):
-        stabilized_e(-1)
+    for route in (stabilized_e, stabilization):
+        with pytest.raises(DomainError):
+            route(-1)
 
 
 def test_order_in_pi3():
