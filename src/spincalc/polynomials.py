@@ -1,9 +1,8 @@
 """Sparse integer polynomials with named generators.
 
-Terms are stored as a dict from exponent tuples to nonzero integer
-coefficients, the exponent tuple being aligned with the generator tuple.
-The quotient ring Z[c2, c3] / (2 c3) used for the odd Newton classes gets
-its own thin wrapper that renormalizes after every operation.
+Terms map exponent tuples, aligned with the generators, to nonzero integer
+coefficients. Every arithmetic result is built by `_like`, which the quotient
+ring Z[c2, c3] / (2 c3) of the odd Newton classes overrides to reduce mod 2 c3.
 """
 
 from __future__ import annotations
@@ -18,6 +17,8 @@ class IntPolynomial:
 
     def __init__(self, gens: tuple[str, ...], terms: dict | None = None):
         self.gens = tuple(gens)
+        if len(set(self.gens)) != len(self.gens):
+            raise DomainError(f"generator names repeat in {self.gens}")
         clean: dict[tuple, int] = {}
         for expo, coeff in (terms or {}).items():
             expo = tuple(expo)
@@ -25,8 +26,9 @@ class IntPolynomial:
                 raise DimensionMismatchError(
                     f"exponent tuple {expo} does not match generators {self.gens}"
                 )
-            if any(e < 0 for e in expo):
-                raise DomainError("negative exponents are not allowed")
+            # an exponent is a nonnegative int; a bool is not one
+            if not all(type(e) is int and e >= 0 for e in expo):
+                raise DomainError(f"exponents {expo} are not nonnegative integers")
             if not isinstance(coeff, int):
                 raise DomainError(f"coefficient {coeff!r} is not an integer")
             if coeff != 0:
@@ -50,62 +52,68 @@ class IntPolynomial:
         expo = tuple(1 if g == name else 0 for g in gens)
         return cls(gens, {expo: 1})
 
+    def _like(self, terms: dict) -> "IntPolynomial":
+        """A polynomial of this type and ring: every arithmetic result."""
+        return IntPolynomial(self.gens, terms)
+
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
     def _require_same_ring(self, other: "IntPolynomial") -> None:
-        if self.gens != other.gens:
+        if type(self) is not type(other) or self.gens != other.gens:
             raise DimensionMismatchError(
-                f"cannot combine polynomials over {self.gens} and {other.gens}"
+                f"cannot combine {type(self).__name__} over {self.gens} "
+                f"with {type(other).__name__} over {other.gens}"
             )
 
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
+    def __add__(self, other: "IntPolynomial | int") -> "IntPolynomial":
         if isinstance(other, int):
-            other = IntPolynomial.constant(self.gens, other)
+            other = self._like({(0,) * len(self.gens): other})
+        elif not isinstance(other, IntPolynomial):
+            return NotImplemented
         self._require_same_ring(other)
         terms = dict(self.terms)
         for expo, coeff in other.terms.items():
             terms[expo] = terms.get(expo, 0) + coeff
-        return IntPolynomial(self.gens, terms)
+        return self._like(terms)
 
     def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(self.gens, {e: -c for e, c in self.terms.items()})
+        return self._like({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "IntPolynomial":
         return self + (-other)
 
     def __mul__(self, other) -> "IntPolynomial":
         if isinstance(other, int):
-            return IntPolynomial(
-                self.gens, {e: other * c for e, c in self.terms.items()}
-            )
+            return self._like({e: other * c for e, c in self.terms.items()})
+        if not isinstance(other, IntPolynomial):
+            return NotImplemented
         self._require_same_ring(other)
         terms: dict[tuple, int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 expo = tuple(a + b for a, b in zip(e1, e2))
                 terms[expo] = terms.get(expo, 0) + c1 * c2
-        return IntPolynomial(self.gens, terms)
+        return self._like(terms)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "IntPolynomial":
         if n < 0:
             raise DomainError("negative powers are not allowed")
-        result = IntPolynomial.constant(self.gens, 1)
+        result = self._like({(0,) * len(self.gens): 1})
         for _ in range(n):
             result = result * self
         return result
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            other = IntPolynomial.constant(self.gens, other)
+            other = self._like({(0,) * len(self.gens): other})
         if not isinstance(other, IntPolynomial):
             return NotImplemented
-        return self.gens == other.gens and self.terms == other.terms
-
-    __hash__ = None
+        same_ring = type(self) is type(other) and self.gens == other.gens
+        return same_ring and self.terms == other.terms
 
     def substitute(
         self, target_gens: tuple[str, ...], mapping: dict[str, "IntPolynomial | int"]
@@ -178,34 +186,38 @@ class IntPolynomial:
         return records
 
     def __repr__(self) -> str:
-        return f"IntPolynomial({self.render()!r})"
+        return f"{type(self).__name__}({self.render()!r})"
 
 
 QUOTIENT_GENS = ("c2", "c3")
 
 
-def _reduce_mod_2c3(poly: IntPolynomial) -> IntPolynomial:
-    # any monomial containing c3 has its coefficient read mod 2
-    terms = {}
-    for (e2, e3), coeff in poly.terms.items():
-        if e3 > 0:
-            coeff %= 2
-        if coeff != 0:
-            terms[(e2, e3)] = coeff
-    return IntPolynomial(QUOTIENT_GENS, terms)
+class QuotientedPolynomial(IntPolynomial):
+    """Z[c2, c3] / (2 c3): an IntPolynomial whose c3-monomials have coefficient 1."""
 
-
-class QuotientedPolynomial:
-    """An element of Z[c2, c3] / (2 c3), kept in canonical reduced form."""
-
-    __slots__ = ("poly",)
+    __slots__ = ()
 
     def __init__(self, poly: IntPolynomial):
         if poly.gens != QUOTIENT_GENS:
             raise DimensionMismatchError(
                 f"quotient ring generators are {QUOTIENT_GENS}, got {poly.gens}"
             )
-        self.poly = _reduce_mod_2c3(poly)
+        self._reduce(poly.terms)
+
+    def _reduce(self, terms: dict) -> "QuotientedPolynomial":
+        # any monomial containing c3 has its coefficient read mod 2
+        reduced = {e: c % 2 if e[1] else c for e, c in terms.items()}
+        IntPolynomial.__init__(self, QUOTIENT_GENS, reduced)
+        return self
+
+    def _like(self, terms: dict) -> "QuotientedPolynomial":
+        # raw terms are reduced and checked once, with no lifted copy built
+        return object.__new__(QuotientedPolynomial)._reduce(terms)
+
+    @property
+    def poly(self) -> IntPolynomial:
+        """The reduced representative, lifted to a plain IntPolynomial."""
+        return IntPolynomial(QUOTIENT_GENS, self.terms)
 
     @classmethod
     def zero(cls) -> "QuotientedPolynomial":
@@ -218,42 +230,3 @@ class QuotientedPolynomial:
     @classmethod
     def generator(cls, name: str) -> "QuotientedPolynomial":
         return cls(IntPolynomial.generator(QUOTIENT_GENS, name))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.poly.is_zero
-
-    def __add__(self, other: "QuotientedPolynomial") -> "QuotientedPolynomial":
-        return QuotientedPolynomial(self.poly + other.poly)
-
-    def __sub__(self, other: "QuotientedPolynomial") -> "QuotientedPolynomial":
-        return QuotientedPolynomial(self.poly - other.poly)
-
-    def __neg__(self) -> "QuotientedPolynomial":
-        return QuotientedPolynomial(-self.poly)
-
-    def __mul__(self, other) -> "QuotientedPolynomial":
-        if isinstance(other, int):
-            return QuotientedPolynomial(self.poly * other)
-        return QuotientedPolynomial(self.poly * other.poly)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "QuotientedPolynomial":
-        return QuotientedPolynomial(self.poly**n)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QuotientedPolynomial):
-            return NotImplemented
-        return self.poly == other.poly
-
-    __hash__ = None
-
-    def render(self) -> str:
-        return self.poly.render()
-
-    def json_terms(self) -> list[dict]:
-        return self.poly.json_terms()
-
-    def __repr__(self) -> str:
-        return f"QuotientedPolynomial({self.render()!r})"

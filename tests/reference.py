@@ -15,6 +15,7 @@ from spincalc.errors import DegeneratePairingError, DomainError, WitnessSearchEr
 from spincalc.exact_arith import DivisibilityBound, bernoulli_quotient, von_staudt_den
 from spincalc.f2_forms import QuadraticForm, standard_gram
 from spincalc.icosa_group import IDENTITY, P, enumerate_group, inv, mul
+from spincalc.polynomials import QUOTIENT_GENS, IntPolynomial
 
 # ------------------------------------------------------------------ f2_forms
 
@@ -219,6 +220,46 @@ def check_odd_symplectic_identity(s_poly, kappa_poly, k: int) -> bool:
     """Verify s_{2k-1} = (B_k / 2k) * kappa_{2k-1} by clearing denominators."""
     c = odd_symplectic_constant(k)
     return c.denominator * s_poly == c.numerator * kappa_poly
+
+
+# ------------------------------------------------------------- polynomials
+# Z[c2, c3] / (2 c3) by its definition: plain IntPolynomial arithmetic over
+# QUOTIENT_GENS, reduced mod 2 c3 after every operation.
+
+
+def reduce_mod_2c3(poly: IntPolynomial) -> IntPolynomial:
+    """The reduced representative: c3-monomial coefficients read mod 2."""
+    terms = {}
+    for (e2, e3), coeff in poly.terms.items():
+        if e3 > 0:
+            coeff %= 2
+        if coeff != 0:
+            terms[(e2, e3)] = coeff
+    return IntPolynomial(QUOTIENT_GENS, terms)
+
+
+def reduced_sphere_lambdas(n_max: int) -> list[IntPolynomial]:
+    """lambda_0 .. lambda_{n_max} by the Newton recursion, reducing each step."""
+    r = reduce_mod_2c3
+    c2 = IntPolynomial.generator(QUOTIENT_GENS, "c2")
+    c3 = IntPolynomial.generator(QUOTIENT_GENS, "c3")
+    values = [
+        IntPolynomial.constant(QUOTIENT_GENS, 2),
+        IntPolynomial.zero(QUOTIENT_GENS),
+        r(-2 * c2),
+        r(3 * c3),
+    ]
+    for m in range(4, n_max + 1):
+        values.append(r(r(r(-c2) * values[m - 2]) + r(c3 * values[m - 3])))
+    return values[: n_max + 1]
+
+
+def reduced_lambda_kappa_difference(n: int) -> IntPolynomial:
+    """lambda_n - kappa_n, with kappa_2k = 2 p1^k sent to 2 (-c2)^k."""
+    kappa = IntPolynomial.zero(QUOTIENT_GENS)
+    if n % 2 == 0:
+        kappa = 2 * (-IntPolynomial.generator(QUOTIENT_GENS, "c2")) ** (n // 2)
+    return reduce_mod_2c3(reduced_sphere_lambdas(n)[n] - reduce_mod_2c3(kappa))
 
 
 # ---------------------------------------------------------------- cyclotomic

@@ -601,6 +601,19 @@ _GOLDEN_ARGUMENTS = [f"{arguments} --json" for arguments, _ in _README_EXAMPLES]
     )
     for flag in ("", " --json")
 ]
+# Every characteristic-class family at small and larger indices, in both
+# forms; the README already pins two of them as --json.
+_CLASS_ARGUMENTS = [
+    f"{command} --family {family} --n {n}{flag}"
+    for command, families in (
+        ("kappa", ("hp", "proj", "sphere", "torus")),
+        ("lambda", ("sphere", "torus")),
+    )
+    for family in families
+    for n in (0, 1, 2, 3, 5, 6, 12)
+    for flag in ("", " --json")
+]
+_GOLDEN_ARGUMENTS += [a for a in _CLASS_ARGUMENTS if a not in _GOLDEN_ARGUMENTS]
 
 
 def test_output_matches_recorded_bytes(capsys, tmp_path, monkeypatch):
