@@ -78,11 +78,16 @@ class IntPolynomial:
             terms[expo] = terms.get(expo, 0) + coeff
         return self._like(terms)
 
+    __radd__ = __add__
+
     def __neg__(self) -> "IntPolynomial":
         return self._like({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "IntPolynomial":
         return self + (-other)
+
+    def __rsub__(self, other) -> "IntPolynomial":
+        return (-self).__add__(other)
 
     def __mul__(self, other) -> "IntPolynomial":
         if isinstance(other, int):

@@ -25,7 +25,6 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 
-from . import cyclotomic, icosa_group
 from .errors import (
     CentralBehaviorError,
     DomainError,
@@ -208,11 +207,9 @@ def s_from_exponents(
     if big_n < 1:
         raise DomainError("N must be positive")
     modulus = big_n * a
-    out = []
-    for e in exponents:
-        t = _json_int(e) % modulus
-        out.append(Fraction(t + b * scalar_exponent, big_n))
-    return out
+    return [
+        Fraction(_json_int(e) % modulus + b * scalar_exponent, big_n) for e in exponents
+    ]
 
 
 _SOLVE_CAP = 2_000_000
@@ -260,6 +257,7 @@ def multiplicity_solve(
         if bound > _SOLVE_CAP:
             raise EnumerationCapError("multiplicity search space too large")
 
+    from . import cyclotomic
     target = cyclotomic.integer_element(m, trace)
     solutions: list[tuple[int, ...]] = []
 
@@ -382,6 +380,7 @@ def regular_increment() -> ModZ:
     The eigenvalue profiles come from restricting that representation to
     the three cyclic subgroups, 120/m copies of each regular character.
     """
+    from . import icosa_group
     profiles = []
     for j, (a, _) in enumerate(POINCARE.pairs, start=1):
         rp = icosa_group.regular_restriction_profile(a)
@@ -409,44 +408,56 @@ def order_in_pi3(value: ModZ) -> int:
     return value.order(cap=24)
 
 
-def _json_int(value) -> int:
-    """An integer field: a JSON integer, so no float, bool or string."""
+def _json_int(value, error=TypeError, field: str = "") -> int:
+    """A JSON integer, so no float, bool or string; else error, led by field."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected an integer, got {value!r}")
+        raise error(f"{field}expected an integer, got {value!r}")
     return value
+
+
+def _field(doc, key: str, kind: type, error=DomainError, where: str = ""):
+    """doc[key], checked first: doc is a JSON object with key of kind; else error."""
+    name = f"{where}.{key}" if where else key
+    if not isinstance(doc, dict):
+        raise error(f"{where or 'document'}: {type(doc).__name__}, not a JSON object")
+    if key not in doc:
+        raise error(f"{name}: missing")
+    if kind is int:
+        return _json_int(doc[key], error, f"{name}: ")
+    if not isinstance(doc[key], kind):
+        raise error(f"{name}: expected a JSON list, got {doc[key]!r}")
+    return doc[key]
 
 
 # Fraction() alone would also take decimals and exponents such as "1e3000000",
 # whose exact value can take minutes to build.
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 
 
-def _parse_rational(value) -> Fraction:
-    """An s-value: a JSON integer, or a string p or p/q of decimal digits."""
+def _parse_rational(value, field: str) -> Fraction:
+    """An s-value: a JSON integer, or a string p or p/q of digits, q nonzero."""
     if not isinstance(value, str):
-        return Fraction(_json_int(value))
+        return Fraction(_json_int(value, DomainError, field))
     if not _RATIONAL.fullmatch(value):
-        raise DomainError(f"bad rational {value!r}: expected p or p/q")
-    try:
-        return Fraction(value)
-    except ZeroDivisionError as exc:
-        raise DomainError(f"bad rational {value!r}: {exc}") from exc
+        raise DomainError(f"{field}bad rational {value!r}, not p or p/q, q nonzero")
+    return Fraction(value)
 
 
 def seifert_data_from_document(doc: dict) -> SeifertData:
-    try:
-        pairs = tuple((_json_int(a), _json_int(b)) for a, b in doc["pairs"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidSeifertDataError(f"malformed pairs: {exc}") from exc
-    return SeifertData(pairs)
+    error, pairs = InvalidSeifertDataError, []
+    for pair in _field(doc, "pairs", list, error):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise error(f"pairs: {pair!r} is not [a, b]")
+        a, b = pair
+        pairs.append((_json_int(a, error, "pairs: "), _json_int(b, error, "pairs: ")))
+    return SeifertData(tuple(pairs))
 
 
 def seifert_check_document(doc: dict) -> dict:
     d = seifert_data_from_document(doc)
-    obstruction = homology_sphere_obstruction(d)
     return {
         "pairs": [[a, b] for a, b in d.pairs],
-        "obstruction": str(obstruction),
+        "obstruction": str(homology_sphere_obstruction(d)),
         "is_integral_homology_sphere": is_integral_homology_sphere(d),
     }
 
@@ -460,52 +471,31 @@ def repspec_from_document(doc: dict) -> tuple[SeifertData, RepSpec]:
     string p or p/q of decimal digits, p optionally signed.
     """
     d = seifert_data_from_document(doc)
-    try:
-        big_n = _json_int(doc["N"])
-        center = doc["center"]
-        raw_profiles = list(doc["profiles"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DomainError(f"malformed document: {exc}") from exc
+    big_n = _field(doc, "N", int)
+    center = _field(doc, "center", object)
+    raw_profiles = _field(doc, "profiles", list)
     if center == "trivial":
         scalar_exponent = None
     elif isinstance(center, dict) and "scalar_exponent" in center:
-        try:
-            scalar_exponent = _json_int(center["scalar_exponent"])
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"scalar_exponent must be an integer: {exc}") from exc
+        scalar_exponent = _field(center, "scalar_exponent", int, where="center")
     else:
-        raise CentralBehaviorError(f"unsupported center description {center!r}")
-    r_h = scalar_exponent or 0
-    by_fiber = {}
-    for raw in raw_profiles:
-        if not isinstance(raw, dict):
-            raise DomainError(f"profile {raw!r} is not an object")
-        try:
-            j = _json_int(raw["fiber"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError(f"malformed fiber index in profile: {exc}") from exc
-        if j < 1 or j > len(d.pairs):
-            raise DomainError(f"fiber index {j} out of range")
-        if j in by_fiber:
-            raise DomainError(f"fiber {j} given twice")
-        try:
-            if "s_values" in raw:
-                if not isinstance(raw["s_values"], list):
-                    raise TypeError(f"s_values must be a list, got {raw['s_values']!r}")
-                s_values = [_parse_rational(v) for v in raw["s_values"]]
-            elif "exponents" in raw:
-                s_values = s_from_exponents(
-                    d.pairs[j - 1], big_n, r_h, raw["exponents"]
-                )
-            else:
-                raise DomainError(f"profile for fiber {j} has no eigenvalue data")
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"malformed eigenvalue data for fiber {j}: {exc}") from exc
-        by_fiber[j] = EigenvalueProfile(j, tuple(s_values))
-    if sorted(by_fiber) != list(range(1, len(d.pairs) + 1)):
-        raise DomainError("exactly one profile per fiber is required")
-    profiles = tuple(by_fiber[j] for j in sorted(by_fiber))
-    return d, RepSpec(big_n, scalar_exponent, profiles)
+        raise CentralBehaviorError(f"center: unsupported description {center!r}")
+    fibers = [_field(raw, "fiber", int, where=f"profiles[{i}]")
+              for i, raw in enumerate(raw_profiles)]
+    if sorted(fibers) != list(range(1, len(d.pairs) + 1)):
+        raise DomainError(f"profiles: fibers {fibers}, not 1..{len(d.pairs)} once each")
+    r_h, profiles = scalar_exponent or 0, []
+    for i, (j, raw) in enumerate(zip(fibers, raw_profiles)):
+        key = "s_values" if "s_values" in raw else "exponents"
+        values = _field(raw, key, list, where=f"profiles[{i}]")
+        name = f"profiles[{i}].{key}: "
+        if key == "s_values":
+            s_values = [_parse_rational(v, name) for v in values]
+        else:
+            exponents = [_json_int(e, DomainError, name) for e in values]
+            s_values = s_from_exponents(d.pairs[j - 1], big_n, r_h, exponents)
+        profiles.append(EigenvalueProfile(j, tuple(s_values)))
+    return d, RepSpec(big_n, scalar_exponent, tuple(sorted(profiles)))
 
 
 def _rep_fields(rep: RepSpec) -> tuple[str | dict, list[dict]]:

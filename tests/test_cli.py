@@ -1,6 +1,7 @@
 """Tests for the command line interface."""
 
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -298,6 +299,20 @@ def test_console_entry_point():
     assert out.stdout == "-1/12 (order 12)\n"
 
 
+def test_console_entry_point_runs_main(capsys, monkeypatch):
+    """The console script's target, as pyproject.toml declares it, is called
+    with no arguments and reads them from sys.argv."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    module, _, name = scripts["spincalc"].partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    assert entry is main
+    monkeypatch.setattr(sys, "argv", ["spincalc", "einvariant", "--example", "3"])
+    assert entry() == 0
+    assert capsys.readouterr() == ("-1/12 (order 12)\n", "")
+
+
 _TWO_DIM_BUNDLE = {"pairs": [[2, -1], [3, 1], [5, 1]], "N": 2, "center": "trivial"}
 
 
@@ -318,6 +333,7 @@ _TWO_DIM_BUNDLE = {"pairs": [[2, -1], [3, 1], [5, 1]], "N": 2, "center": "trivia
         {"profiles": [{"fiber": j, "s_values": ["0", "1.5"]} for j in (1, 2, 3)]},
         {"profiles": [{"fiber": j, "s_values": ["0", 0.5]} for j in (1, 2, 3)]},
         {"profiles": [{"fiber": j, "s_values": ["0", True]} for j in (1, 2, 3)]},
+        {"profiles": [{"fiber": j, "s_values": ["0", "1/00"]} for j in (1, 2, 3)]},
     ],
 )
 def test_malformed_documents_exit_with_one(capsys, tmp_path, fields):
@@ -405,11 +421,17 @@ F2_UNUSED = {"seifert", "exact_arith", "fractions", "char_classes", "polynomials
          {"exact_arith", "fractions"}),
         (["forms", "--g", "3"], "f2_forms", F2_UNUSED),
         (["zeros", "--g", "2", "--basis-values", "1011"], "f2_forms", F2_UNUSED),
+        # documents need neither the multiplicity search nor the group model
+        (["seifert-check", "--input", "pairs.json"], "seifert",
+         {"cyclotomic", "icosa_group"}),
+        (["einvariant", "--input", "bundle.json"], "seifert",
+         {"cyclotomic", "icosa_group"}),
     ],
 )
-def test_subcommand_loads_only_the_layers_it_uses(argv, needed, unused):
+def test_subcommand_loads_only_the_layers_it_uses(tmp_path, argv, needed, unused):
+    _write_documents(tmp_path)
     # layers by their name in the package, other modules by their full name
-    loaded = {m.removeprefix("spincalc.") for m in _modules_after(argv)}
+    loaded = {m.removeprefix("spincalc.") for m in _modules_after(argv, tmp_path)}
     assert needed in loaded
     assert not unused & loaded
 
@@ -694,6 +716,46 @@ def _replaced(doc, path, value):
         node = node[key]
     node[path[-1]] = value
     return copy
+
+
+# Each list field of both documents, by its path, and the error class its
+# command reports for it.
+_LIST_FIELDS = [
+    ("seifert-check", _POINCARE_PAIRS, ("pairs",), "InvalidSeifertDataError"),
+    ("einvariant", _README_BUNDLE, ("pairs",), "InvalidSeifertDataError"),
+    ("einvariant", _README_BUNDLE, ("profiles",), "DomainError"),
+    ("einvariant", _README_BUNDLE, ("profiles", 0, "s_values"), "DomainError"),
+    ("einvariant", _README_BUNDLE, ("profiles", 1, "exponents"), "DomainError"),
+]
+
+_WRONG_SHAPES = [
+    (command, _replaced(doc, path, value), error)
+    for command, doc, path, error in _LIST_FIELDS
+    for value in ({}, "", "12", 7)
+] + [
+    (command, document, "InvalidSeifertDataError")
+    for command, doc in (
+        ("seifert-check", _POINCARE_PAIRS), ("einvariant", _README_BUNDLE)
+    )
+    for document in (
+        {**doc, "pairs": [[2, -1], [3], [5, 1]]},
+        [[2, -1], [3, 1], [5, 1]],
+        "pairs",
+    )
+]
+
+
+@pytest.mark.parametrize("command, document, error", _WRONG_SHAPES)
+def test_documents_of_the_wrong_shape_are_rejected(
+    capsys, tmp_path, command, document, error
+):
+    """A list field that is not a JSON list, a pair that is not two entries,
+    and a document that is not a JSON object: exit 1 and one error line."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run_cli(capsys, command, "--input", str(path))
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {error}: ")
 
 
 _FUZZ_TARGETS = [

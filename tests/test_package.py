@@ -1,17 +1,20 @@
 """Tests for the package namespace: names are re-exported lazily, a layer
-is imported only when one of its names is first looked up, and every
-annotation resolves.
+is imported only when one of its names is first looked up, every
+annotation resolves, and the README's library examples print what it shows.
 
 Each import check runs in a fresh interpreter, so that no other test has
 imported a layer before it.
 """
 
 import ast
+import doctest
 import importlib
 import inspect
 import json
 import os
+import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
 import typing
@@ -144,3 +147,14 @@ def test_every_top_level_definition_is_used_by_the_product():
         and not (stmt.name.startswith("__") and stmt.name.endswith("__"))
     ]
     assert unused == []
+
+
+def test_readme_library_examples():
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    blocks = "".join(re.findall(r"```python\n(.*?)```", text, re.S))
+    test = doctest.DocTestParser().get_doctest(blocks, {}, "README", str(readme), 0)
+    assert test.examples
+    runner = doctest.DocTestRunner()
+    runner.run(test)
+    assert runner.summarize(verbose=False).failed == 0

@@ -45,6 +45,19 @@ def test_ring_arithmetic():
         X ** (-1)
 
 
+def test_integers_add_and_subtract_on_the_left():
+    assert 1 + X == X + 1
+    assert 1 - X == -X + 1
+    assert 3 - (X - Y) == Y - X + 3
+    assert 1 - C3 == C3 + 1
+    assert 2 + C2 == C2 + 2
+    assert type(1 - C3) is type(2 + C2) is QuotientedPolynomial
+    with pytest.raises(TypeError):
+        1.5 - X
+    with pytest.raises(TypeError):
+        1.5 + C3
+
+
 def test_mixed_ring_arithmetic_is_rejected():
     other = IntPolynomial.generator(("z",), "z")
     with pytest.raises(DimensionMismatchError):
