@@ -274,14 +274,13 @@ def _cmd_icosa(args) -> tuple[str, dict]:
     census_line = "order census: " + ", ".join(f"{o}:{c}" for o, c in census.items())
     census_doc = [[o, c] for o, c in census.items()]
     if args.census:
-        return census_line, {"order": 120, "order_census": census_doc}
+        return census_line, {"order": sum(census.values()), "order_census": census_doc}
     group = icosa_group.enumerate_group()
     perfect = icosa_group.verify_perfect()
     center = icosa_group.center_elements()
     triple = icosa_group.find_presentation_triple()
-    profiles = {
-        m: icosa_group.regular_restriction_profile(m) for m in (2, 3, 5)
-    }
+    profiles = {m: icosa_group.regular_restriction_profile(m)
+                for m in icosa_group.BRANCH_ORDERS}
     human = "\n".join(
         [
             f"group order: {len(group)}",

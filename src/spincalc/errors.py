@@ -24,8 +24,8 @@ class EnumerationCapError(SpincalcError):
 
 
 class WitnessSearchError(SpincalcError):
-    """A search for a witness came back empty; only find_presentation_triple
-    raises it."""
+    """A built witness breaks a relation it must satisfy; only
+    find_presentation_triple raises it, and it searches for nothing."""
 
 
 class InvalidFormError(SpincalcError):

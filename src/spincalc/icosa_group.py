@@ -1,22 +1,25 @@
 """The binary icosahedral group, modeled as SL2(F5).
 
-Elements are row-major tuples (a, b, c, d) of residues mod 5 with
-determinant 1.  The group has order 120, a unique element of order 2
-(minus the identity, which generates the center), and its quotient by the
-center is the alternating group A5 of order 60.
+Elements are row-major tuples (a, b, c, d) of residues mod P with
+determinant 1.  P = 5 is the model's one written-in fact: the order 120,
+the center {I, -I}, the branch orders (2, 3, P) and the presentation triple
+are computed from it.  The quotient by the center is A5, of order 60.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import namedtuple
 from functools import lru_cache
 
 from .errors import DomainError, WitnessSearchError
 
 P = 5
+# (2, 3, P) generates PSL(2, P), as the image of the modular group.
+BRANCH_ORDERS = (2, 3, P)
 
 IDENTITY = (1, 0, 0, 1)
-MINUS_IDENTITY = (4, 0, 0, 4)
+MINUS_IDENTITY = (P - 1, 0, 0, P - 1)
 
 Element = tuple[int, int, int, int]
 
@@ -52,20 +55,14 @@ def power(x: Element, k: int) -> Element:
 
 @lru_cache(maxsize=None)
 def enumerate_group() -> tuple[Element, ...]:
-    """All 120 elements, found by filtering the 625 candidate tuples."""
-    members = []
-    for a in range(P):
-        for b in range(P):
-            for c in range(P):
-                for d in range(P):
-                    if (a * d - b * c) % P == 1:
-                        members.append((a, b, c, d))
-    return tuple(sorted(members))
+    """All P(P^2 - 1) elements in sorted order, filtered from the P^4 tuples."""
+    tuples = itertools.product(range(P), repeat=4)
+    return tuple(x for x in tuples if (x[0] * x[3] - x[1] * x[2]) % P == 1)
 
 
 def element_order(x: Element) -> int:
     y = x
-    for k in range(1, 121):
+    for k in range(1, len(enumerate_group()) + 1):
         if y == IDENTITY:
             return k
         y = mul(y, x)
@@ -86,8 +83,7 @@ def center_elements() -> tuple[Element, ...]:
 
 
 def verify_perfect() -> bool:
-    """Is the group its own commutator subgroup: do the commutators generate
-    all 120 elements."""
+    """Is the group perfect: do its commutators generate all of it."""
     group = enumerate_group()
     commutators = {mul(mul(x, y), mul(inv(x), inv(y))) for x in group for y in group}
     closure = set(commutators) | {IDENTITY}
@@ -103,53 +99,45 @@ def verify_perfect() -> bool:
 
 
 class PresentationTriple(namedtuple("PresentationTriple", "h x1 x2 x3")):
-    """Witness for the presentation with x1^2 = x2^3 = x3^5 = h central
+    """Witness for the presentation with x1^2 = x2^3 = x3^P = h central
     and x1 x2 x3 = 1; each entry is an Element."""
 
     __slots__ = ()
 
 
 def find_presentation_triple() -> PresentationTriple:
-    """Search the group for elements of orders 4, 6, 10 whose product is the
-    identity and whose relevant powers all equal the central involution.
-
-    Every relation is asserted literally on the found triple rather than
-    inferred from order bookkeeping.
-    """
-    group = enumerate_group()
-    h = MINUS_IDENTITY
-    order4 = [g for g in group if element_order(g) == 4]
-    order6 = [g for g in group if element_order(g) == 6]
-    for x1 in order4:
-        for x2 in order6:
-            x3 = inv(mul(x1, x2))
-            if element_order(x3) != 10:
-                continue
-            if power(x1, 2) != h or power(x2, 3) != h or power(x3, 5) != h:
-                continue
-            if mul(mul(x1, x2), x3) != IDENTITY:
-                continue
-            if any(mul(x, h) != mul(h, x) for x in (x1, x2, x3)):
-                continue
-            return PresentationTriple(h, x1, x2, x3)
-    raise WitnessSearchError("no presentation triple found")
+    """The lifts x1 = [[0,1],[-1,0]], x2 = [[0,1],[-1,1]] and x3 = (x1 x2)^-1
+    = -[[1,1],[0,1]] of the modular group's generators, with h = -I.  Every
+    relation is asserted literally on them: orders (4, 6, 2P), x1^2 = x2^3 =
+    x3^P = h, h central, and x1 x2 x3 = 1."""
+    h, x1, x2 = MINUS_IDENTITY, (0, 1, P - 1, 0), (0, 1, P - 1, 1)
+    x3 = inv(mul(x1, x2))
+    triple = (x1, x2, x3)
+    if (
+        [element_order(x) for x in triple] != [2 * m for m in BRANCH_ORDERS]
+        or any(power(x, m) != h for x, m in zip(triple, BRANCH_ORDERS))
+        or any(mul(x, h) != mul(h, x) for x in triple)
+        or mul(mul(x1, x2), x3) != IDENTITY
+    ):
+        raise WitnessSearchError("the modular generators' lifts break a relation")
+    return PresentationTriple(h, x1, x2, x3)
 
 
 class RestrictionProfile(
     namedtuple("RestrictionProfile", "order copies exponent_multiplicities")
 ):
     """Restriction of the doubled pullback regular representation to a cyclic
-    subgroup of order m of the order-60 quotient: 120/m copies of that cyclic
-    group's regular representation.  exponent_multiplicities maps each
-    eigenvalue exponent j in 0..m-1 to its number of copies."""
+    subgroup of order m of the quotient by the center: |G|/m copies of that
+    cyclic group's regular representation.  exponent_multiplicities maps
+    each eigenvalue exponent j in 0..m-1 to its number of copies."""
 
     __slots__ = ()
 
 
 def regular_restriction_profile(m: int) -> RestrictionProfile:
-    """Closed form, m in (2, 3, 5): the doubled pullback character is 120 on
-    the center and 0 elsewhere, so each eigenvalue exponent has 120/m copies."""
-    if m not in (2, 3, 5):
-        raise DomainError("cyclic restriction order must be 2, 3, or 5")
-    copies = 120 // m
+    """Closed form, m in BRANCH_ORDERS: the doubled pullback character is |G|
+    on the center and 0 elsewhere, so each eigenvalue exponent has |G|/m copies."""
+    if m not in BRANCH_ORDERS:
+        raise DomainError(f"cyclic restriction order must be 2, 3, or {P}")
+    copies = len(enumerate_group()) // m
     return RestrictionProfile(m, copies, {j: copies for j in range(m)})

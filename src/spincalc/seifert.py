@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from collections import namedtuple
 from fractions import Fraction
 
@@ -385,7 +386,7 @@ def regular_increment() -> ModZ:
     for j, (a, _) in enumerate(POINCARE.pairs, start=1):
         rp = icosa_group.regular_restriction_profile(a)
         profiles.append(_profile(j, rp.exponent_multiplicities))
-    rep = RepSpec(120, None, tuple(profiles))
+    rep = RepSpec(len(icosa_group.enumerate_group()), None, tuple(profiles))
     return e_simple(POINCARE, rep)
 
 
@@ -440,6 +441,10 @@ def _parse_rational(value, field: str) -> Fraction:
         return Fraction(_json_int(value, DomainError, field))
     if not _RATIONAL.fullmatch(value):
         raise DomainError(f"{field}bad rational {value!r}, not p or p/q, q nonzero")
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # none before 3.10.7
+    if limit and len(value) > limit:  # a shorter string has no longer p or q
+        if max(map(len, value.lstrip("-").split("/"))) > limit:
+            raise DomainError(f"{field}p or q past the {limit}-digit int/str limit")
     return Fraction(value)
 
 

@@ -8,8 +8,12 @@ icosahedral group's quotient by its centre as explicit cosets, and so on.
 
 from __future__ import annotations
 
+import math
+import types
 from functools import cache
+from pathlib import Path
 
+from spincalc import icosa_group
 from spincalc.cyclotomic import element
 from spincalc.errors import DegeneratePairingError, DomainError, WitnessSearchError
 from spincalc.exact_arith import DivisibilityBound, bernoulli_quotient, von_staudt_den
@@ -150,6 +154,60 @@ def subgroup_is_perfect(elements) -> bool:
                 closure.add(z)
                 frontier.append(z)
     return closure == members
+
+
+@cache
+def icosa_group_at(p: int) -> types.ModuleType:
+    """icosa_group's own source, run as a module of package spincalc with its
+    one written-in fact, the line P = 5, replaced by P = p."""
+    source = Path(icosa_group.__file__).read_text()
+    assert source.splitlines().count("P = 5") == 1
+    module = types.ModuleType(f"spincalc.icosa_group_at_{p}")
+    module.__package__ = "spincalc"
+    source = source.replace("\nP = 5\n", f"\nP = {p}\n")
+    exec(compile(source, icosa_group.__file__, "exec"), module.__dict__)
+    return module
+
+
+def sl2_order_census(q: int) -> dict[int, int]:
+    """Element orders of SL(2, q), q an odd prime, from its class sizes: one
+    each of I and -I, q^2 - 1 each of orders q and 2q, and phi(d)/2 q(q+1) or
+    phi(d)/2 q(q-1) of each order d > 2 that divides q - 1 or q + 1."""
+    census = {1: 1, 2: 1, q: q * q - 1, 2 * q: q * q - 1}
+    for n, size in ((q - 1, q * (q + 1)), (q + 1, q * (q - 1))):
+        for d in range(3, n + 1):
+            if n % d == 0:
+                phi = sum(math.gcd(k, d) == 1 for k in range(1, d + 1))
+                census[d] = phi // 2 * size
+    return dict(sorted(census.items()))
+
+
+def triple_relations_hold(g, triple) -> bool:
+    """The relations of (h, x1, x2, x3) in the group model g: orders 4, 6 and
+    2P, x1^2 = x2^3 = x3^P = h = -I, h central, and x1 x2 x3 = 1."""
+    h, x1, x2, x3 = triple
+    return (
+        h == tuple(-v % g.P for v in g.IDENTITY)
+        and [g.element_order(x) for x in (x1, x2, x3)] == [4, 6, 2 * g.P]
+        and [g.power(x1, 2), g.power(x2, 3), g.power(x3, g.P)] == [h] * 3
+        and all(g.mul(x, h) == g.mul(h, x) for x in (x1, x2, x3))
+        and g.mul(g.mul(x1, x2), x3) == g.IDENTITY
+    )
+
+
+def presentation_triples(g=icosa_group):
+    """Search oracle for find_presentation_triple: every (h, x1, x2, x3) in
+    the group model g whose relations hold, with x1 of order 4 and x2 of
+    order 6 each taken in sorted order and x3 = (x1 x2)^-1."""
+    group = sorted(g.enumerate_group())
+    h = tuple(-v % g.P for v in g.IDENTITY)
+    order4 = [x for x in group if g.element_order(x) == 4]
+    order6 = [x for x in group if g.element_order(x) == 6]
+    for x1 in order4:
+        for x2 in order6:
+            triple = (h, x1, x2, g.inv(g.mul(x1, x2)))
+            if triple_relations_hold(g, triple):
+                yield triple
 
 
 def cyclic_subgroup(x):

@@ -406,6 +406,9 @@ def test_cli_import_pulls_in_no_numeric_backend():
 
 # the F2 commands need no rational arithmetic and no other layer
 F2_UNUSED = {"seifert", "exact_arith", "fractions", "char_classes", "polynomials"}
+# the group model stands alone while flat bundles come to use it
+GROUP_UNUSED = {"seifert", "cyclotomic", "exact_arith", "f2_forms", "char_classes",
+                "polynomials", "fractions"}
 
 
 @pytest.mark.parametrize(
@@ -426,6 +429,8 @@ F2_UNUSED = {"seifert", "exact_arith", "fractions", "char_classes", "polynomials
          {"cyclotomic", "icosa_group"}),
         (["einvariant", "--input", "bundle.json"], "seifert",
          {"cyclotomic", "icosa_group"}),
+        (["icosa", "--census"], "icosa_group", GROUP_UNUSED),
+        (["icosa", "--verify"], "icosa_group", GROUP_UNUSED),
     ],
 )
 def test_subcommand_loads_only_the_layers_it_uses(tmp_path, argv, needed, unused):

@@ -2,10 +2,11 @@
 
 import pytest
 
-from spincalc.errors import DomainError
+from spincalc.errors import DomainError, WitnessSearchError
 from spincalc.icosa_group import (
     IDENTITY,
     MINUS_IDENTITY,
+    P,
     center_elements,
     element_order,
     element_order_census,
@@ -22,9 +23,13 @@ from reference import (
     cyclic_subgroup,
     doubled_pullback_regular_character,
     fixed_coset_count,
+    icosa_group_at,
     neg,
+    presentation_triples,
     quotient_cosets,
+    sl2_order_census,
     subgroup_is_perfect,
+    triple_relations_hold,
 )
 
 
@@ -63,6 +68,14 @@ def test_order_census():
         6: 20,
         10: 24,
     }
+
+
+def test_order_census_is_the_sl2_formula():
+    assert sl2_order_census(7) == {
+        1: 1, 2: 1, 3: 56, 4: 42, 6: 56, 7: 48, 8: 84, 14: 48
+    }
+    assert element_order_census() == sl2_order_census(P)
+    assert len(enumerate_group()) == P * (P * P - 1)
 
 
 def test_unique_involution_is_minus_identity():
@@ -107,6 +120,34 @@ def test_presentation_triple_relations():
     assert element_order(t.x1) == 4
     assert element_order(t.x2) == 6
     assert element_order(t.x3) == 10
+
+
+def test_presentation_triple_is_the_search_oracles_first():
+    assert next(presentation_triples()) == find_presentation_triple()
+
+
+def test_p_is_the_one_written_in_fact():
+    # the module's own source with the line P = 5 read as P = 7 models SL(2, 7)
+    twin = icosa_group_at(7)
+    assert len(twin.enumerate_group()) == 336
+    assert set(twin.center_elements()) == {(1, 0, 0, 1), (6, 0, 0, 6)}
+    assert twin.element_order_census() == sl2_order_census(7)
+    triple = twin.find_presentation_triple()
+    assert triple == ((6, 0, 0, 6), (0, 1, 6, 0), (0, 1, 6, 1), (6, 6, 0, 6))
+    assert [twin.element_order(x) for x in triple[1:]] == [4, 6, 14]
+    assert triple_relations_hold(twin, triple)
+    assert next(presentation_triples(twin), None) is not None
+    assert twin.verify_perfect()
+    copies = {m: twin.regular_restriction_profile(m).copies for m in twin.BRANCH_ORDERS}
+    assert copies == {2: 168, 3: 112, 7: 48}
+    with pytest.raises(DomainError):
+        twin.regular_restriction_profile(5)
+
+
+def test_a_broken_relation_raises():
+    # over F2, -I is I and the lift of [[0,1],[-1,0]] has order 2, not 4
+    with pytest.raises(WitnessSearchError):
+        icosa_group_at(2).find_presentation_triple()
 
 
 def test_quotient_cosets():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -482,6 +483,26 @@ def test_einvariant_document_with_exponents():
     out = einvariant_document(doc)
     assert out["e_invariant"]["residue"] == {"num": "1", "den": "2"}
     assert out["order"] == 2
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int/str limit before 3.10.7"
+)
+def test_einvariant_document_keeps_a_callers_int_str_limit():
+    # the CLI lifts the limit for its whole process, a library caller may keep it
+    def document(s):
+        return {"pairs": [[1, 0]], "N": 1, "center": "trivial",
+                "profiles": [{"fiber": 1, "s_values": [s]}]}
+
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for s in ("1" * 5000, "1/" + "1" * 5000, "-" + "1" * 4301):
+            with pytest.raises(DomainError, match="4300-digit"):
+                einvariant_document(document(s))
+        assert einvariant_document(document("-" + "1" * 4300))["order"] == 2
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_einvariant_document_scalar_center():
