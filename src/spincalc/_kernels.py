@@ -50,9 +50,3 @@ def form_values(g: int, basis_values: int) -> int:
         table ^= masks[(basis_values & -basis_values).bit_length() - 1]
         basis_values &= basis_values - 1
     return table
-
-
-def arf_additive_all(g: int) -> int:
-    """Additive Arf invariant of every form, packed: bit bv is the parity of
-    bv_lo AND bv_hi, which is the pair part evaluated at bv."""
-    return _pair_part(g)

@@ -273,9 +273,9 @@ def _cmd_icosa(args) -> tuple[str, dict]:
     census = icosa_group.element_order_census()
     census_line = "order census: " + ", ".join(f"{o}:{c}" for o, c in census.items())
     census_doc = [[o, c] for o, c in census.items()]
+    order = sum(census.values())
     if args.census:
-        return census_line, {"order": sum(census.values()), "order_census": census_doc}
-    group = icosa_group.enumerate_group()
+        return census_line, {"order": order, "order_census": census_doc}
     perfect = icosa_group.verify_perfect()
     center = icosa_group.center_elements()
     triple = icosa_group.find_presentation_triple()
@@ -283,7 +283,7 @@ def _cmd_icosa(args) -> tuple[str, dict]:
                 for m in icosa_group.BRANCH_ORDERS}
     human = "\n".join(
         [
-            f"group order: {len(group)}",
+            f"group order: {order}",
             f"perfect: {'yes' if perfect else 'no'}",
             f"center size: {len(center)}",
             census_line,
@@ -295,7 +295,7 @@ def _cmd_icosa(args) -> tuple[str, dict]:
     return (
         human,
         {
-            "order": len(group),
+            "order": order,
             "perfect": perfect,
             "center_size": len(center),
             "order_census": census_doc,

@@ -20,7 +20,7 @@ class DimensionMismatchError(SpincalcError):
 
 
 class EnumerationCapError(SpincalcError):
-    """An exhaustive enumeration would exceed the configured genus cap."""
+    """A form sweep past the genus cap, or a multiplicity_solve search past its cap."""
 
 
 class WitnessSearchError(SpincalcError):
@@ -49,7 +49,7 @@ class MultiplicityError(SpincalcError):
 
 
 class TorsionBoundError(SpincalcError):
-    """A mod-Z value is not annihilated by any positive integer <= the cap."""
+    """A mod-Z value outside pi_3^s = Z/24; only seifert.order_in_pi3 raises it."""
 
 
 class DomainError(SpincalcError):

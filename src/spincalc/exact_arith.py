@@ -11,7 +11,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import DomainError, TorsionBoundError
+from .errors import DomainError
 
 
 def todd_coefficients(max_degree: int) -> list[Fraction]:
@@ -183,18 +183,11 @@ class ModZ(namedtuple("ModZ", "residue")):
 
     __rmul__ = __mul__
 
-    def order(self, cap: int = 24) -> int:
+    def order(self) -> int:
         """Least positive m with m * self integral: the denominator q of the
-        residue p/q in lowest terms.
-
-        Raises TorsionBoundError when q > cap.
-        """
-        order = self.residue.denominator
-        if order > cap:
-            raise TorsionBoundError(
-                f"{self.residue} is not annihilated by any integer up to {cap}"
-            )
-        return order
+        residue p/q in lowest terms.  Every residue has one; the bound of
+        pi_3^s = Z/24 is applied by seifert.order_in_pi3 alone."""
+        return self.residue.denominator
 
     def legible(self) -> Fraction:
         """The representative used for display: the alias when it exists."""

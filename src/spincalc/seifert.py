@@ -405,8 +405,11 @@ def stabilized_e(n: int) -> ModZ:
 
 
 def order_in_pi3(value: ModZ) -> int:
-    """Order of the class in the 24-torsion third stable homotopy group."""
-    return value.order(cap=24)
+    """Order of the class in pi_3^s = Z/24, the residue's denominator.
+    Raises TorsionBoundError when that denominator exceeds 24."""
+    if value.order() > 24:
+        raise TorsionBoundError(f"{value} is not annihilated by any integer up to 24")
+    return value.order()
 
 
 def _json_int(value, error=TypeError, field: str = "") -> int:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from spincalc.errors import DomainError, TorsionBoundError
+from spincalc.errors import DomainError
 from spincalc.exact_arith import (
     DivisibilityBound,
     ModZ,
@@ -197,25 +197,14 @@ def test_modz_order():
     assert ModZ(Fraction(1, 3)).order() == 3
     assert ModZ(Fraction(11, 12)).order() == 12
     assert ModZ(Fraction(5, 24)).order() == 24
-    with pytest.raises(TorsionBoundError):
-        ModZ(Fraction(1, 25)).order()
-    assert ModZ(Fraction(1, 25)).order(cap=50) == 25
-    # against the definition: the least m <= cap with m * r integral
-    for cap in (24, 50):
-        for q in range(1, 61):
-            for p in range(q):
-                r = ModZ(Fraction(p, q))
-                least = next(
-                    (m for m in range(1, cap + 1) if (m * r.residue).denominator == 1),
-                    None,
-                )
-                if least is not None:
-                    assert r.order(cap) == least
-                    continue
-                message = f"{r.residue} is not annihilated by any integer up to {cap}"
-                with pytest.raises(TorsionBoundError) as info:
-                    r.order(cap)
-                assert str(info.value) == message
+    assert ModZ(Fraction(1, 25)).order() == 25
+    # against the definition: the least m with m * r integral, which every
+    # residue has, so order() never raises
+    for q in range(1, 61):
+        for p in range(q):
+            r = ModZ(Fraction(p, q))
+            least = next(m for m in range(1, q + 1) if (m * r.residue).denominator == 1)
+            assert r.order() == least
 
 
 def test_serialization_helpers():

@@ -46,9 +46,10 @@ def test_form_values_match_pointwise_evaluation():
                 assert (values >> x) & 1 == eval_form(q, x)
 
 
-def test_arf_additive_all_matches_basis_route():
+def test_zero_form_table_is_the_arf_table():
+    # form bv has basis Arf invariant sum_i bv_{a_i} bv_{b_i} = q0(bv)
     for g in (1, 2, 3):
-        table = _kernels.arf_additive_all(g)
+        table = _kernels.form_values(g, 0)
         assert table >> (1 << (2 * g)) == 0
         for bv in range(1 << (2 * g)):
             assert (table >> bv) & 1 == arf_basis(QuadraticForm(g, bv)).additive

@@ -26,6 +26,7 @@ from spincalc.seifert import (
     e_general,
     e_simple,
     einvariant_document,
+    example_document,
     homology_sphere_obstruction,
     icosahedral_example,
     is_integral_homology_sphere,
@@ -417,6 +418,21 @@ def test_order_in_pi3():
     assert order_in_pi3(ModZ(0)) == 1
     with pytest.raises(TorsionBoundError):
         order_in_pi3(ModZ(Fraction(1, 25)))
+    # the bound of pi_3^s = Z/24 is applied here alone, against the
+    # definition: the least m <= 24 with m * r integral, else the error
+    for q in range(1, 61):
+        for p in range(q):
+            r = ModZ(Fraction(p, q))
+            least = next(
+                (m for m in range(1, 25) if (m * r.residue).denominator == 1), None
+            )
+            if least is not None:
+                assert order_in_pi3(r) == least == r.order()
+                continue
+            message = f"{r.residue} is not annihilated by any integer up to 24"
+            with pytest.raises(TorsionBoundError) as info:
+                order_in_pi3(r)
+            assert str(info.value) == message
 
 
 def test_s_from_exponents():
@@ -501,6 +517,9 @@ def test_einvariant_document_keeps_a_callers_int_str_limit():
             with pytest.raises(DomainError, match="4300-digit"):
                 einvariant_document(document(s))
         assert einvariant_document(document("-" + "1" * 4300))["order"] == 2
+        # a short s-value whose e has more digits is Python's own error
+        with pytest.raises(ValueError, match="4300 digits"):
+            einvariant_document(document("1/" + "3" * 3000))
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -520,6 +539,19 @@ def test_einvariant_document_scalar_center():
     assert out["kind"] == "two_re_times_n_e"
     assert out["e_invariant"]["residue"] == {"num": "1", "den": "3"}
     assert out["order"] == 3
+
+
+def test_einvariant_document_reads_the_example_writer():
+    # the writer's document goes back through the reader: same formula and
+    # value; the order only for the trivial-centre examples, since example 1
+    # reports candidate orders for e, not the order of 2 Re(N e)
+    for k in (1, 2, 3):
+        result = icosahedral_example(k)
+        out = einvariant_document(example_document(result))
+        assert out["kind"] == result.kind
+        assert out["e_invariant"] == result.value.to_doc()
+        if k != 1:
+            assert out["order"] == result.order
 
 
 def test_einvariant_document_error_paths():
