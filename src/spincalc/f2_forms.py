@@ -18,6 +18,7 @@ enumeration here is authoritative).
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cached_property
 
 from . import _kernels
 from .errors import (
@@ -81,10 +82,9 @@ class QuadraticForm(namedtuple("QuadraticForm", "g basis_values gram")):
 
     basis_values packs q(e_0), ..., q(e_{2g-1}) into a bitmask.  gram is
     None for the standard pairing, otherwise a tuple of 2g Gram-matrix rows
-    (alternating and nondegenerate, or construction fails).
+    (alternating and nondegenerate, or construction fails).  A Gram form
+    keeps q's values on a symplectic basis, which that check computes.
     """
-
-    __slots__ = ()
 
     def __new__(
         cls, g: int, basis_values: int, gram: tuple[int, ...] | None = None
@@ -109,11 +109,17 @@ class QuadraticForm(namedtuple("QuadraticForm", "g basis_values gram")):
                     row &= row - 1
             if tuple(transpose) != gram:
                 raise InvalidFormError("pairing must be symmetric")
-            # Raises DegeneratePairingError when the pairing has a radical.
-            symplectic_basis(gram)
             if gram == standard_gram(g):
                 gram = None
-        return tuple.__new__(cls, (g, basis_values, gram))
+        self = tuple.__new__(cls, (g, basis_values, gram))
+        if gram is not None:
+            self._symplectic_values  # raises DegeneratePairingError on a radical
+        return self
+
+    @cached_property
+    def _symplectic_values(self) -> int:
+        """q's values on symplectic_basis(gram), from one reduction."""
+        return _reduce(self.gram, self.basis_values)[1]
 
     @property
     def dim(self) -> int:
@@ -142,14 +148,7 @@ def eval_form(q: QuadraticForm, x: int) -> int:
         return linear ^ (((x & lo) & (x >> q.g)).bit_count() & 1)
     # The cross term sum_{i<j} x_i x_j B_ij is the parity of x AND the XOR of
     # the strict upper triangle rows U_i at the set bits i of x.
-    upper = 0
-    xx = x
-    i = 0
-    while xx:
-        if xx & 1:
-            upper ^= q.gram[i] >> (i + 1) << (i + 1)
-        xx >>= 1
-        i += 1
+    upper = apply_map([row >> (i + 1) << (i + 1) for i, row in enumerate(q.gram)], x)
     return linear ^ ((x & upper).bit_count() & 1)
 
 
@@ -196,15 +195,16 @@ def symplectic_basis(gram: tuple[int, ...]) -> list[int]:
     Each candidate u carries its image Bu, the XOR of the Gram rows at its
     set bits, starting from Be_i = gram[i].  Images change linearly with the
     vectors (u ^= v gives Bu ^= Bv), so every pairing u.y is the parity of
-    Bu & y: one AND and one popcount.  u also carries q(u) for normalize: adding
-    v adds q(v) + u.v, then adding w adds q(w) alone, as u.w is 0 by then.
+    Bu & y: one AND and one popcount.  u also carries q(u) for the
+    QuadraticForm constructor, which keeps the values: adding v adds
+    q(v) + u.v, then adding w adds q(w) alone, as u.w is 0 by then.
     """
     return _reduce(gram, 0)[0]
 
 
 def _values(q: QuadraticForm) -> int:
-    """q's values on a symplectic basis, packed like basis_values."""
-    return q.basis_values if q.gram is None else _reduce(q.gram, q.basis_values)[1]
+    """q's values on a symplectic basis, packed like basis_values; kept by Gram forms."""
+    return q.basis_values if q.gram is None else q._symplectic_values
 
 
 def normalize(q: QuadraticForm) -> QuadraticForm:

@@ -83,19 +83,21 @@ def center_elements() -> tuple[Element, ...]:
 
 
 def verify_perfect() -> bool:
-    """Is the group perfect: do its commutators generate all of it."""
+    """Do the commutators generate the group?  One outside the subgroup they
+    generate so far joins its generators, and the subgroup is closed again."""
     group = enumerate_group()
-    commutators = {mul(mul(x, y), mul(inv(x), inv(y))) for x in group for y in group}
-    closure = set(commutators) | {IDENTITY}
-    frontier = list(closure)
-    while frontier:
-        x = frontier.pop()
-        for y in commutators:
-            z = mul(x, y)
-            if z not in closure:
-                closure.add(z)
-                frontier.append(z)
-    return closure == set(group)
+    subgroup, generators = {IDENTITY}, []
+    for x, y in itertools.product(group, repeat=2):
+        c = mul(mul(x, y), mul(inv(x), inv(y)))
+        if c not in subgroup:
+            generators.append(c)
+            new = set(subgroup)
+            while new:
+                new = {mul(u, v) for u in new for v in generators} - subgroup
+                subgroup |= new
+            if len(subgroup) == len(group):
+                return True
+    return False
 
 
 class PresentationTriple(namedtuple("PresentationTriple", "h x1 x2 x3")):

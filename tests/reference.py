@@ -18,7 +18,7 @@ from spincalc.cyclotomic import element
 from spincalc.errors import DegeneratePairingError, DomainError, WitnessSearchError
 from spincalc.exact_arith import DivisibilityBound, bernoulli_quotient, von_staudt_den
 from spincalc.f2_forms import QuadraticForm, standard_gram
-from spincalc.icosa_group import IDENTITY, P, enumerate_group, inv, mul
+from spincalc.icosa_group import IDENTITY, P, enumerate_group, mul
 from spincalc.polynomials import QUOTIENT_GENS, IntPolynomial
 
 # ------------------------------------------------------------------ f2_forms
@@ -131,8 +131,9 @@ def neg(x):
     return tuple(-v % P for v in x)
 
 
-def subgroup_is_perfect(elements) -> bool:
-    """Is the commutator subgroup of the given subgroup the whole subgroup.
+def subgroup_is_perfect(elements, g=icosa_group) -> bool:
+    """Is the commutator subgroup of the given subgroup of the group model g
+    the whole subgroup: all |H|^2 commutators, closed under products.
 
     Negative controls such as the centre or a cyclic subgroup run through
     the same closure computation and come back False.
@@ -140,16 +141,16 @@ def subgroup_is_perfect(elements) -> bool:
     subgroup = tuple(elements)
     members = set(subgroup)
     commutators = {
-        mul(mul(x, y), mul(inv(x), inv(y))) for x in subgroup for y in subgroup
+        g.mul(g.mul(x, y), g.mul(g.inv(x), g.inv(y))) for x in subgroup for y in subgroup
     }
     if not commutators <= members:
         raise DomainError("input is not closed under commutators; not a subgroup?")
-    closure = set(commutators) | {IDENTITY}
+    closure = set(commutators) | {g.IDENTITY}
     frontier = list(closure)
     while frontier:
         x = frontier.pop()
         for y in commutators:
-            z = mul(x, y)
+            z = g.mul(x, y)
             if z not in closure:
                 closure.add(z)
                 frontier.append(z)

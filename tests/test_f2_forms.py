@@ -1,10 +1,13 @@
 """Tests for quadratic forms over F2 and their Arf invariants."""
 
+import copy
+import json
+import pickle
 import random
 
 import pytest
 
-from spincalc import _kernels
+from spincalc import _kernels, f2_forms
 from spincalc.errors import (
     DegeneratePairingError,
     DimensionMismatchError,
@@ -693,3 +696,65 @@ def test_gauss_routes_enumerate_the_value_table(monkeypatch):
             calls.clear()
             route(q)
             assert calls == [(q.g, p.basis_values)]
+
+
+def g8_gram_form(seed):
+    """A seeded genus-8 form handed over by a non-standard Gram matrix."""
+    rng = random.Random(seed)
+    q = QuadraticForm(8, rng.getrandbits(16), conjugated_gram(8, random_invertible(8, rng)))
+    assert q.gram is not None
+    return q
+
+
+def test_a_gram_form_is_reduced_once(monkeypatch):
+    # the constructor's degeneracy check is the one symplectic reduction;
+    # every later query reads the values it kept
+    calls = []
+    reduce = f2_forms._reduce
+
+    def spy(gram, basis_values):
+        calls.append(gram)
+        return reduce(gram, basis_values)
+
+    monkeypatch.setattr(f2_forms, "_reduce", spy)
+    q = g8_gram_form(1)
+    arf_basis(q), arf_gauss(q), count_zeros(q), normalize(q), form_to_doc(q)
+    direct_sum(q, q), forms_isomorphic(q, q, witness=True)
+    assert calls == [q.gram]
+
+
+def answers(q):
+    return arf_basis(q), arf_gauss(q), count_zeros(q), normalize(q)
+
+
+def test_forms_built_without_the_constructor_answer_alike():
+    # _replace, _make, copy and pickle skip __new__; each record answers
+    # from its own fields, never from values kept by the record it came from
+    q, other = g8_gram_form(2), g8_gram_form(3)
+    answers(q), answers(other)
+    fresh = answers(QuadraticForm(*q))
+    built = [
+        other._replace(basis_values=q.basis_values, gram=q.gram),
+        QuadraticForm._make(q),
+        copy.copy(q),
+        copy.deepcopy(q),
+        pickle.loads(pickle.dumps(q)),
+    ]
+    for record in built:
+        assert record == q
+        assert answers(record) == fresh
+    moved = q._replace(basis_values=other.basis_values)
+    assert answers(moved) == answers(QuadraticForm(*moved))
+    # a degenerate Gram still fails, at the first query rather than when built
+    degenerate = q._replace(gram=(0,) * 16)
+    for _ in range(2):
+        with pytest.raises(DegeneratePairingError):
+            arf_basis(degenerate)
+
+
+def test_the_kept_values_stay_out_of_the_record():
+    queried, unqueried = g8_gram_form(4), QuadraticForm._make(g8_gram_form(4))
+    answers(queried)
+    for view in (lambda q: q, hash, repr, len, tuple, json.dumps, QuadraticForm._asdict):
+        assert view(queried) == view(unqueried)
+    assert queried._fields == ("g", "basis_values", "gram")

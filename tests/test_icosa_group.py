@@ -99,6 +99,14 @@ def test_perfectness():
         subgroup_is_perfect((five,))
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_verify_perfect_matches_the_full_commutator_oracle(p):
+    # SL(2, 3) is solvable; SL(2, 5) and SL(2, 7) are perfect
+    twin = icosa_group_at(p)
+    want = subgroup_is_perfect(twin.enumerate_group(), twin)
+    assert twin.verify_perfect() == want == (p != 3)
+
+
 def test_cyclic_subgroup():
     five = next(g for g in enumerate_group() if element_order(g) == 5)
     sub = cyclic_subgroup(five)
