@@ -2,13 +2,14 @@
 
 The kappa classes of the four families in scope admit closed forms in a
 single characteristic-class generator each; the odd-index Newton classes
-lambda_n live in the quotient ring Z[c2, c3] / (2 c3) and are produced by
-the Newton recursion with c1 = 0.
+lambda_n live in the quotient ring Z[c2, c3] / (2 c3) and are the power sums
+that the Girard-Waring formula gives in closed form with c1 = 0.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from math import comb
 
 from .errors import DomainError
 from .polynomials import QUOTIENT_GENS, IntPolynomial, QuotientedPolynomial
@@ -34,13 +35,14 @@ def sphere_kappa(n: int) -> IntPolynomial:
 
 
 def proj_bundle_kappa(n: int) -> IntPolynomial:
-    """kappa_n of a projectivized 2-plane bundle: 2 * (c1^2 - 4 c2)^k at n = 2k."""
+    """kappa_n of a projectivized 2-plane bundle: 2 * (c1^2 - 4 c2)^k at n = 2k,
+    expanded by the binomial theorem as 2 sum_j C(k, j) (-4)^j c1^{2(k-j)} c2^j."""
     _check_index(n)
     if n % 2 == 1:
         return IntPolynomial.zero(PROJ_GENS)
-    c1 = IntPolynomial.generator(PROJ_GENS, "c1")
-    c2 = IntPolynomial.generator(PROJ_GENS, "c2")
-    return 2 * (c1 * c1 - 4 * c2) ** (n // 2)
+    k = n // 2
+    terms = {(2 * (k - j), j): 2 * comb(k, j) * (-4) ** j for j in range(k + 1)}
+    return IntPolynomial(PROJ_GENS, terms)
 
 
 def hp_infinity_kappa(n: int) -> IntPolynomial:
@@ -77,23 +79,19 @@ def torus_lambda(n: int) -> IntPolynomial:
 def sphere_lambda(n: int) -> QuotientedPolynomial:
     """lambda_n of the universal sphere bundle in Z[c2, c3] / (2 c3).
 
-    Seeds lambda_1 = 0, lambda_2 = -2 c2, lambda_3 = 3 c3 feed the Newton
-    recursion lambda_n = -c2 lambda_{n-2} + c3 lambda_{n-3} for n >= 4.
-    lambda_0 is the rank of the index bundle, 2, not the power sum s_0 = 3;
-    the recursion above never consults index 0.
+    For n >= 1 it is the power sum p_n of the roots of t^3 + c2 t - c3, by
+    Girard-Waring p_n = sum_{2i + 3j = n} (-1)^i (n / (i + j)) C(i + j, i)
+    c2^i c3^j; the Newton recursion p_n = -c2 p_{n-2} + c3 p_{n-3} agrees.
+    lambda_0 is the rank of the index bundle, 2, not the power sum s_0 = 3.
     """
     _check_index(n)
-    c2 = QuotientedPolynomial.generator("c2")
-    c3 = QuotientedPolynomial.generator("c3")
-    values = [
-        QuotientedPolynomial.constant(2),
-        QuotientedPolynomial.zero(),
-        -2 * c2,
-        3 * c3,
-    ]
-    for m in range(4, n + 1):
-        values.append(-c2 * values[m - 2] + c3 * values[m - 3])
-    return values[n]
+    if n == 0:
+        return QuotientedPolynomial.constant(2)
+    terms = {}
+    for j in range(n % 2, n // 3 + 1, 2):  # 2i = n - 3j is even
+        i = (n - 3 * j) // 2
+        terms[i, j] = (-1) ** i * n * comb(i + j, i) // (i + j)
+    return QuotientedPolynomial(IntPolynomial(QUOTIENT_GENS, terms))
 
 
 def sphere_kappa_in_quotient(n: int) -> QuotientedPolynomial:

@@ -20,7 +20,8 @@ class DimensionMismatchError(SpincalcError):
 
 
 class EnumerationCapError(SpincalcError):
-    """A form sweep past the genus cap, or a multiplicity_solve search past its cap."""
+    """enumerate_forms or arf_gauss past the genus cap, or a multiplicity_solve
+    search past its cap."""
 
 
 class WitnessSearchError(SpincalcError):

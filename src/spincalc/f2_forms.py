@@ -29,9 +29,9 @@ from .errors import (
     InvalidFormError,
 )
 
-# The largest genus enumerated exhaustively.  It is a memory bound: one value
-# table is 4^g bits (8 KiB at g = 8), and the coordinate-mask cache in
-# _kernels holds 2g such tables.
+# The largest genus that enumerate_forms lists and arf_gauss sweeps, a memory
+# bound: one value table is 4^g bits (8 KiB at g = 8), and the coordinate-mask
+# cache in _kernels holds 2g such tables.  The counts are closed forms.
 DEFAULT_GENUS_CAP = 8
 
 
@@ -226,31 +226,27 @@ def arf_basis(q: QuadraticForm) -> ArfValue:
     return _arf(q.g, _values(q))
 
 
-def _value_table(q: QuadraticForm, cap: int) -> int:
-    """The 4^g-bit table whose bit x is q(x), in a symplectic basis."""
-    _check_cap(q.g, cap)
-    return _kernels.form_values(q.g, _values(q))
-
-
 def arf_gauss(q: QuadraticForm, cap: int = DEFAULT_GENUS_CAP) -> ArfValue:
     """Arf invariant as the sign of the Gauss sum sum_x (-1)^{q(x)}.
 
-    The sum is computed by exhaustive enumeration and must come out as
-    +-2^g; anything else means the input was not a quadratic refinement.
+    The sum is computed by exhaustive enumeration of the 4^g-bit value
+    table, so it stays an independent check on arf_basis and keeps the genus
+    cap.  It must come out as +-2^g; anything else means the input was not a
+    quadratic refinement.
     """
-    total = (1 << 2 * q.g) - 2 * _value_table(q, cap).bit_count()
+    _check_cap(q.g, cap)
+    total = (1 << 2 * q.g) - 2 * _kernels.form_values(q.g, _values(q)).bit_count()
     if abs(total) != 1 << q.g:
         raise InvalidFormError(f"Gauss sum {total} is not +-2^{q.g}")
     return _ARF[total < 0]
 
 
-def count_zeros(q: QuadraticForm, cap: int = DEFAULT_GENUS_CAP) -> int:
-    """Number of vectors with q(x) = 0, counted by exhaustive enumeration.
-
-    Always 2^{g-1} (2^g + arf(q)) with arf multiplicative: the three even
-    forms at g = 1 have 3 zeros each and the odd form has 1.
+def count_zeros(q: QuadraticForm) -> int:
+    """Number of vectors with q(x) = 0, from Arf's closed form
+    2^{g-1} (2^g + arf(q)) with arf multiplicative: the three even forms at
+    g = 1 have 3 zeros each and the odd form has 1.  No genus is too large.
     """
-    return (1 << 2 * q.g) - _value_table(q, cap).bit_count()
+    return ((1 << q.g) + _arf(q.g, _values(q)).multiplicative) << (q.g - 1)
 
 
 def _check_cap(g: int, cap: int) -> None:
@@ -268,18 +264,12 @@ def enumerate_forms(g: int, cap: int = DEFAULT_GENUS_CAP) -> list[QuadraticForm]
     return [QuadraticForm(g, bv) for bv in range(1 << (2 * g))]
 
 
-def count_by_arf(g: int, cap: int = DEFAULT_GENUS_CAP) -> tuple[int, int]:
-    """(forms with arf +1, forms with arf -1) among all forms of genus g.
-
-    Closed form: 2^{g-1} (2^g + 1) and 2^{g-1} (2^g - 1).  Computed here from
-    the zero form's value table: the form with basis values bv has basis Arf
-    invariant sum_i bv_{a_i} bv_{b_i} = q0(bv).
-    """
+def count_by_arf(g: int) -> tuple[int, int]:
+    """(forms with arf +1, forms with arf -1) among all 4^g forms of genus g:
+    2^{g-1} (2^g + 1) and 2^{g-1} (2^g - 1), at every genus."""
     if g < 1:
         raise DomainError("genus must be at least 1")
-    _check_cap(g, cap)
-    n_minus = _kernels.form_values(g, 0).bit_count()
-    return (1 << (2 * g)) - n_minus, n_minus
+    return ((1 << g) + 1) << (g - 1), ((1 << g) - 1) << (g - 1)
 
 
 def direct_sum(q1: QuadraticForm, q2: QuadraticForm) -> QuadraticForm:

@@ -108,8 +108,10 @@ class IntPolynomial:
         if n < 0:
             raise DomainError("negative powers are not allowed")
         result = self._like({(0,) * len(self.gens): 1})
-        for _ in range(n):
-            result = result * self
+        for bit in bin(n)[2:]:  # by squaring, from the high bit down
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __eq__(self, other) -> bool:

@@ -297,6 +297,15 @@ def reduce_mod_2c3(poly: IntPolynomial) -> IntPolynomial:
     return IntPolynomial(QUOTIENT_GENS, terms)
 
 
+def repeated_products(base, n_max: int):
+    """Yield base^0 .. base^{n_max}, one multiplication by base per step."""
+    power = base * 0 + 1
+    yield power
+    for _ in range(n_max):
+        power = power * base
+        yield power
+
+
 def reduced_sphere_lambdas(n_max: int) -> list[IntPolynomial]:
     """lambda_0 .. lambda_{n_max} by the Newton recursion, reducing each step."""
     r = reduce_mod_2c3

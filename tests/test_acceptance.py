@@ -76,11 +76,12 @@ def test_acceptance_01_arf_oracle_equivalence(capsys):
 
 
 def test_acceptance_02_form_counts(capsys):
-    ok = all(
-        count_by_arf(g)
-        == (2 ** (g - 1) * (2**g + 1), 2 ** (g - 1) * (2**g - 1))
-        for g in range(1, 7)
-    )
+    ok = True
+    for g in range(1, 7):
+        n_minus = sum(arf_basis(q).additive for q in enumerate_forms(g))
+        ok = ok and count_by_arf(g) == ((1 << 2 * g) - n_minus, n_minus) == (
+            2 ** (g - 1) * (2**g + 1), 2 ** (g - 1) * (2**g - 1)
+        )
     report(capsys, 2, "form census by Arf invariant, g <= 6", ok)
 
 

@@ -24,7 +24,11 @@ from spincalc.errors import DomainError
 from spincalc.exact_arith import bernoulli_quotient
 from spincalc.polynomials import IntPolynomial
 
-from reference import check_odd_symplectic_identity, odd_symplectic_constant
+from reference import (
+    check_odd_symplectic_identity,
+    odd_symplectic_constant,
+    repeated_products,
+)
 
 
 def test_sphere_kappa_closed_form():
@@ -42,6 +46,16 @@ def test_proj_bundle_kappa():
     assert proj_bundle_kappa(0).render() == "2"
     assert proj_bundle_kappa(2).render() == "2*c1^2 - 8*c2"
     assert proj_bundle_kappa(4).render() == "2*c1^4 - 16*c1^2*c2 + 32*c2^2"
+
+
+def test_proj_bundle_kappa_matches_repeated_products():
+    # 2 (c1^2 - 4 c2)^k at n = 2k, by k products: every n to 60, and 400, 2000
+    c1 = IntPolynomial.generator(("c1", "c2"), "c1")
+    c2 = IntPolynomial.generator(("c1", "c2"), "c2")
+    for k, power in enumerate(repeated_products(c1 * c1 - 4 * c2, 1000)):
+        if k <= 30 or k in (200, 1000):
+            assert proj_bundle_kappa(2 * k) == 2 * power
+            assert proj_bundle_kappa(2 * k + 1).is_zero
 
 
 def test_hp_kappa_is_proj_kappa_at_split_values():

@@ -68,6 +68,22 @@ def test_zeros(capsys):
     assert doc["zeros"] == 3
 
 
+def test_counts_answer_past_the_enumeration_cap(capsys):
+    code, out, _ = run_cli(capsys, "forms", "--g", "9")
+    assert code == 0
+    assert out == "genus 9: 262144 forms, 131328 with arf +1, 130816 with arf -1\n"
+    code, out, _ = run_cli(capsys, "zeros", "--g", "9", "--basis-values", "0" * 18)
+    assert (code, out) == (0, "131328 zeros among 262144 vectors\n")
+    doc = run_json(capsys, "forms", "--g", "64")
+    assert doc["total"] == 1 << 128
+    assert doc["arf_plus"] == 2**63 * (2**64 + 1)
+    assert doc["arf_minus"] == 2**63 * (2**64 - 1)
+    # the list is the answer, so it keeps the cap
+    code, out, err = run_cli(capsys, "forms", "--g", "9", "--list")
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: EnumerationCapError")
+
+
 def test_bernoulli(capsys):
     code, out, _ = run_cli(capsys, "bernoulli", "--k", "6")
     assert code == 0

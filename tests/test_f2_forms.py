@@ -154,22 +154,41 @@ def test_arf_routes_agree_exhaustively():
             assert arf_basis(q) == arf_gauss(q)
 
 
+def table_zeros(q):
+    """4^g minus the popcount of q's value table in the basis normal_values reads."""
+    return (1 << 2 * q.g) - _kernels.form_values(q.g, normal_values(q)).bit_count()
+
+
 def test_zero_counts_follow_the_multiplicative_arf():
-    # zeros = 2^{g-1} (2^g + arf) with the multiplicative sign convention;
-    # some printed statements of this rule swap the two cases, the
-    # enumeration here is the authority
-    for g in (1, 2, 3, 4):
+    # count_zeros is the closed form 2^{g-1} (2^g + arf), multiplicative arf;
+    # some printed statements of this rule swap the two cases, so it is
+    # checked against enumeration: vector by vector at g <= 3, by the
+    # popcount of the value table on every form at g <= 4, on seeded forms
+    # at g = 5 and 6 and on seeded g = 8 Gram forms
+    for g in (1, 2, 3):
         for q in enumerate_forms(g):
-            sign = arf_basis(q).multiplicative
-            assert count_zeros(q) == 2 ** (g - 1) * (2**g + sign)
+            assert count_zeros(q) == zeros_by_enumeration(q)
+    rng = random.Random(22)
+    forms = [q for g in (1, 2, 3, 4) for q in enumerate_forms(g)]
+    forms += [QuadraticForm(g, rng.getrandbits(2 * g)) for g in (5, 6) for _ in range(200)]
+    forms += [g8_gram_form(seed) for seed in range(20)]
+    for q in forms:
+        assert count_zeros(q) == table_zeros(q)
+    assert {arf_basis(q).additive for q in forms[-20:]} == {0, 1}
 
 
 def test_count_by_arf_closed_form():
+    # the census counted form by form, then past the cap by Arf additivity:
+    # a genus g + 1 form is a genus g form plus one of the genus 1 forms,
+    # three of which have arf 0 and one arf 1
     for g in range(1, 7):
+        n_minus = sum(arf_basis(q).additive for q in enumerate_forms(g))
+        assert count_by_arf(g) == ((1 << 2 * g) - n_minus, n_minus)
+    for g in range(6, 64):
         n_plus, n_minus = count_by_arf(g)
-        assert n_plus == 2 ** (g - 1) * (2**g + 1)
-        assert n_minus == 2 ** (g - 1) * (2**g - 1)
-        assert n_plus + n_minus == 1 << (2 * g)
+        assert count_by_arf(g + 1) == (3 * n_plus + n_minus, n_plus + 3 * n_minus)
+    with pytest.raises(DomainError):
+        count_by_arf(0)
 
 
 def test_refinement_property_for_every_form():
@@ -572,16 +591,17 @@ def test_normalize_preserves_the_form():
 
 
 def test_enumeration_caps():
+    # the list and the Gauss sum enumerate, so they keep the cap; the counts
+    # are closed forms and answer at every genus
     with pytest.raises(EnumerationCapError):
         enumerate_forms(9)
     with pytest.raises(EnumerationCapError):
-        count_by_arf(9)
-    with pytest.raises(EnumerationCapError):
         arf_gauss(QuadraticForm(9, 0))
-    with pytest.raises(EnumerationCapError):
-        count_zeros(QuadraticForm(9, 0))
+    assert count_by_arf(9) == (131328, 130816)
+    assert count_zeros(QuadraticForm(9, 0)) == 131328
     # raising the cap explicitly lifts the guard
     assert len(enumerate_forms(9, cap=9)) == 1 << 18
+    assert arf_gauss(QuadraticForm(9, 0), cap=9) is ArfValue.from_additive(0)
 
 
 def test_serialization_round_trip():
@@ -673,8 +693,9 @@ def test_arf_values_are_the_two_shared_records():
 
 
 def test_gauss_routes_enumerate_the_value_table(monkeypatch):
-    # one full 4^g table per call, so the Gauss route stays an independent
-    # check on the basis route rather than its closed form
+    # one full 4^g table per arf_gauss call, so the Gauss route stays an
+    # independent check on the basis route rather than its closed form; the
+    # counts are closed forms and build no table
     calls = []
     table = _kernels.form_values
 
@@ -691,11 +712,12 @@ def test_gauss_routes_enumerate_the_value_table(monkeypatch):
         for _ in range(20)
     ]
     for q in forms:
-        p = normalize(q)
-        for route in (arf_gauss, count_zeros):
-            calls.clear()
-            route(q)
-            assert calls == [(q.g, p.basis_values)]
+        calls.clear()
+        arf_gauss(q)
+        assert calls == [(q.g, normalize(q).basis_values)]
+        calls.clear()
+        count_zeros(q), count_by_arf(q.g)
+        assert calls == []
 
 
 def g8_gram_form(seed):

@@ -9,6 +9,8 @@ from spincalc.polynomials import (
     QuotientedPolynomial,
 )
 
+from reference import repeated_products
+
 GENS = ("x", "y")
 X = IntPolynomial.generator(GENS, "x")
 Y = IntPolynomial.generator(GENS, "y")
@@ -43,6 +45,24 @@ def test_ring_arithmetic():
     assert X * 3 == 3 * X
     with pytest.raises(DomainError):
         X ** (-1)
+
+
+def test_powers_match_repeated_products():
+    # monomials at every exponent to 300; two-term bases, whose powers grow,
+    # at every exponent to 40, around each power of two to 256, and at 300
+    some = set(range(41)) | {e + d for e in (64, 128, 256) for d in (-1, 0, 1)} | {300}
+    c2, c3 = (QuotientedPolynomial.generator(name) for name in QUOTIENT_GENS)
+    for base, exponents in [
+        (-3 * X * Y**2, range(301)),
+        (3 * c2 * c3, range(301)),
+        (X - 2 * Y, some),
+        (c2 - c3, some),
+        (X * 0, range(301)),
+    ]:
+        for e, power in enumerate(repeated_products(base, 300)):
+            if e in exponents:
+                got = base**e
+                assert type(got) is type(base) and got == power
 
 
 def test_integers_add_and_subtract_on_the_left():
