@@ -195,24 +195,6 @@ def e_general(d: SeifertData, spec: RepSpec) -> ModZ:
     return ModZ(total)
 
 
-def s_from_exponents(
-    pair: tuple[int, int], big_n: int, scalar_exponent: int, exponents
-) -> list[Fraction]:
-    """s-parameters from eigenvalue exponents: s = (t + b r_h) / N.
-
-    Each exponent is an integer, read as a residue mod N a_j; t is its
-    representative in [0, N a_j).  The result is exact and may be non-integral, in which case
-    it records an eigenvalue outside the integral-lift convention.
-    """
-    a, b = pair
-    if big_n < 1:
-        raise DomainError("N must be positive")
-    modulus = big_n * a
-    return [
-        Fraction(_json_int(e) % modulus + b * scalar_exponent, big_n) for e in exponents
-    ]
-
-
 _SOLVE_CAP = 2_000_000
 
 
@@ -475,11 +457,16 @@ def repspec_from_document(doc: dict) -> tuple[SeifertData, RepSpec]:
 
     Expected fields: pairs, N, center ("trivial" or {"scalar_exponent": r}),
     and one profile per fiber, each {"fiber": j, "s_values": [rationals]} or
-    {"fiber": j, "exponents": [integers]}.  A rational is a JSON integer or a
-    string p or p/q of decimal digits, p optionally signed.
+    {"fiber": j, "exponents": [integers]}.  N is a positive JSON integer.  A
+    rational is a JSON integer or a string p or p/q of decimal digits, p
+    optionally signed.  An exponent t of fiber j, read as a residue mod N a_j,
+    gives s = (t mod N a_j + b_j r_h) / N, with r_h = 0 for a trivial center;
+    s may be non-integral, an eigenvalue outside the integral-lift convention.
     """
     d = seifert_data_from_document(doc)
     big_n = _field(doc, "N", int)
+    if big_n < 1:
+        raise DomainError(f"N: must be positive, got {big_n}")
     center = _field(doc, "center", object)
     raw_profiles = _field(doc, "profiles", list)
     if center == "trivial":
@@ -500,8 +487,9 @@ def repspec_from_document(doc: dict) -> tuple[SeifertData, RepSpec]:
         if key == "s_values":
             s_values = [_parse_rational(v, name) for v in values]
         else:
-            exponents = [_json_int(e, DomainError, name) for e in values]
-            s_values = s_from_exponents(d.pairs[j - 1], big_n, r_h, exponents)
+            a, b = d.pairs[j - 1]
+            s_values = [Fraction(_json_int(t, DomainError, name) % (big_n * a) + b * r_h,
+                                 big_n) for t in values]
         profiles.append(EigenvalueProfile(j, tuple(s_values)))
     return d, RepSpec(big_n, scalar_exponent, tuple(sorted(profiles)))
 

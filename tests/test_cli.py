@@ -779,6 +779,25 @@ def test_documents_of_the_wrong_shape_are_rejected(
     assert len(err.splitlines()) == 1 and err.startswith(f"error: {error}: ")
 
 
+@pytest.mark.parametrize("big_n", [0, -1])
+@pytest.mark.parametrize(
+    "profiles",
+    [
+        _README_BUNDLE["profiles"],
+        [{"fiber": j, "s_values": ["0"] * 18} for j in (1, 2, 3)],
+    ],
+    ids=["exponents", "s_values"],
+)
+def test_a_nonpositive_n_gives_one_error_for_both_profile_kinds(
+    capsys, tmp_path, big_n, profiles
+):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({**_README_BUNDLE, "N": big_n, "profiles": profiles}))
+    assert run_cli(capsys, "einvariant", "--input", str(path)) == (
+        1, "", f"error: DomainError: N: must be positive, got {big_n}\n"
+    )
+
+
 _FUZZ_TARGETS = [
     (command, doc, path)
     for command, doc in (

@@ -35,7 +35,7 @@ from spincalc.seifert import (
     order_in_pi3,
     presentation,
     regular_increment,
-    s_from_exponents,
+    repspec_from_document,
     seifert_check_document,
     stabilization,
     stabilized_e,
@@ -435,17 +435,49 @@ def test_order_in_pi3():
             assert str(info.value) == message
 
 
-def test_s_from_exponents():
-    # x^a = h^{-b} relates the eigenvalue exponent t to s = (t + b r_h) / N
-    assert s_from_exponents((3, 1), 28, 14, [14]) == [Fraction(1)]
-    assert s_from_exponents((3, 1), 28, 14, [42]) == [Fraction(2)]
-    assert s_from_exponents((3, 1), 28, 14, [70]) == [Fraction(3)]
-    # exponents are residues mod N a_j
-    assert s_from_exponents((3, 1), 28, 14, [-14]) == [Fraction(3)]
-    assert s_from_exponents((2, -1), 18, 0, [18]) == [Fraction(1)]
-    assert s_from_exponents((5, 1), 10, 0, [5]) == [Fraction(1, 2)]
-    with pytest.raises(DomainError):
-        s_from_exponents((3, 1), 0, 0, [1])
+@pytest.mark.parametrize(
+    "pair, big_n, center, exponents, s_values",
+    [
+        # x^a = h^{-b} relates the eigenvalue exponent t to s = (t + b r_h) / N;
+        # exponents are residues mod N a_j, so -14 reads as 70
+        ((3, 1), 28, {"scalar_exponent": 14}, [14, 42, 70, -14], [1, 2, 3, 3]),
+        ((2, -1), 18, "trivial", [18], [1]),
+        ((5, 1), 10, "trivial", [5], [Fraction(1, 2)]),
+    ],
+    ids=["scalar_center", "trivial_center", "half_integral"],
+)
+def test_reader_turns_exponents_into_s_values(pair, big_n, center, exponents, s_values):
+    # the profile is padded to N eigenvalues with t = 0, s = b r_h / N
+    r_h = center["scalar_exponent"] if isinstance(center, dict) else 0
+    padding = big_n - len(exponents)
+    doc = {"pairs": [list(pair)], "N": big_n, "center": center,
+           "profiles": [{"fiber": 1, "exponents": exponents + [0] * padding}]}
+    _, rep = repspec_from_document(doc)
+    assert rep.profiles[0].s_values == tuple(
+        s_values + [Fraction(pair[1] * r_h, big_n)] * padding
+    )
+
+
+@pytest.mark.parametrize("big_n", [0, -1])
+@pytest.mark.parametrize(
+    "key, values", [("exponents", [1]), ("s_values", ["1"])], ids=["exponents", "s_values"]
+)
+def test_reader_rejects_a_nonpositive_n_in_one_message(big_n, key, values):
+    doc = {"pairs": [[3, 1]], "N": big_n, "center": "trivial",
+           "profiles": [{"fiber": 1, key: values}]}
+    with pytest.raises(DomainError) as info:
+        repspec_from_document(doc)
+    assert str(info.value) == f"N: must be positive, got {big_n}"
+
+
+@pytest.mark.parametrize("bad", [True, 1.0])
+def test_reader_rejects_an_exponent_that_is_not_a_json_integer(bad):
+    doc = {"pairs": [[2, -1], [3, 1]], "N": 2, "center": "trivial",
+           "profiles": [{"fiber": 1, "s_values": ["0", "1"]},
+                        {"fiber": 2, "exponents": [0, bad]}]}
+    with pytest.raises(DomainError) as info:
+        repspec_from_document(doc)
+    assert str(info.value) == f"profiles[1].exponents: expected an integer, got {bad!r}"
 
 
 def test_seifert_check_document():
