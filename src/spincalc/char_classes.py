@@ -82,15 +82,20 @@ def sphere_lambda(n: int) -> QuotientedPolynomial:
     For n >= 1 it is the power sum p_n of the roots of t^3 + c2 t - c3, by
     Girard-Waring p_n = sum_{2i + 3j = n} (-1)^i (n / (i + j)) C(i + j, i)
     c2^i c3^j; the Newton recursion p_n = -c2 p_{n-2} + c3 p_{n-3} agrees.
+    The j = 0 term is (-1)^i 2.  A c3 term counts only by the parity of
+    n C(i + j - 1, i) / j, which is odd exactly when v2(n) + s(i) + s(j - 1)
+    - s(i + j - 1) = v2(j), s being the binary digit sum (Kummer).
     lambda_0 is the rank of the index bundle, 2, not the power sum s_0 = 3.
     """
     _check_index(n)
     if n == 0:
         return QuotientedPolynomial.constant(2)
-    terms = {}
-    for j in range(n % 2, n // 3 + 1, 2):  # 2i = n - 3j is even
+    terms = {(n // 2, 0): (-1) ** (n // 2) * 2} if n % 2 == 0 else {}
+    for j in range(2 - n % 2, n // 3 + 1, 2):  # 2i = n - 3j is even
         i = (n - 3 * j) // 2
-        terms[i, j] = (-1) ** i * n * comb(i + j, i) // (i + j)
+        carries = i.bit_count() + (j - 1).bit_count() - (i + j - 1).bit_count()
+        if (n & -n) << carries == j & -j:  # 2^(v2(n) + carries) == 2^v2(j)
+            terms[i, j] = 1
     return QuotientedPolynomial(IntPolynomial(QUOTIENT_GENS, terms))
 
 

@@ -11,7 +11,6 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -211,6 +210,8 @@ def _cmd_rr(args) -> tuple[str, dict]:
 
 
 def _load_document(path: str) -> dict:
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -385,6 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # json is imported at the first --json document, as this module's global,
+    # so that a tracer that has replaced cli.json (perfbench) sees each dump
+    global json
     # Numbers of any length are read and printed in full: lift the
     # 4,300-digit int/str cap that Python has had since 3.10.7 (older
     # releases have no cap and no setter) before the arguments are parsed.
@@ -393,6 +397,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         human, doc = args.func(args)
+        if args.json and "json" not in globals():
+            import json
         print(json.dumps(doc, indent=2) if args.json else human)
         sys.stdout.flush()
     except SpincalcError as exc:

@@ -3,8 +3,9 @@
 Elements are integer coefficient tuples on the power basis 1, x, ..., x^{d-1}
 with d = deg Phi_m.  One long division by a monic polynomial does all the
 work: it builds Phi_m out of x^m - 1, and it reduces every element modulo
-Phi_m.  Only construction, addition and exact equality are needed by the
-multiplicity solver, so that is all there is.
+Phi_m.  The multiplicity solver needs only construction and exact equality,
+so the module holds `cyclotomic_polynomial`, `element` and `_divmod` alone;
+a rational integer n is element(m, {0: n}).
 """
 
 from __future__ import annotations
@@ -41,10 +42,6 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def degree(m: int) -> int:
-    return len(cyclotomic_polynomial(m)) - 1
-
-
 def element(m: int, multiplicities: dict[int, int]) -> tuple[int, ...]:
     """sum_e mu_e zeta_m^e as a reduced coefficient tuple: the multiplicities
     summed by e mod m, then divided by Phi_m for the remainder."""
@@ -54,8 +51,3 @@ def element(m: int, multiplicities: dict[int, int]) -> tuple[int, ...]:
         coeffs[e % m] += mu
     return tuple(_divmod(coeffs, phi)[1])
 
-
-def integer_element(m: int, n: int) -> tuple[int, ...]:
-    """The rational integer n inside Z[zeta_m]."""
-    d = degree(m)
-    return tuple([n] + [0] * (d - 1))

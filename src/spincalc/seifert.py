@@ -199,21 +199,18 @@ _SOLVE_CAP = 2_000_000
 
 
 def multiplicity_solve(
-    m: int,
-    dimension: int,
-    trace: int,
-    allowed: tuple[int, ...],
-    real: bool = True,
+    m: int, dimension: int, trace: int, allowed: tuple[int, ...]
 ) -> tuple[int, ...]:
     """Unique nonnegative multiplicities of the eigenvalues zeta_m^e.
 
     Finds all vectors (mu_e) over the allowed exponents with
     sum mu_e = dimension and sum mu_e zeta_m^e = trace, the latter checked
-    exactly in Z[zeta_m].  With real=True the multiplicities are forced to
-    pair up under conjugation, mu_e = mu_{m-e}.  Returns the multiplicities
-    aligned with the sorted allowed exponents; raises MultiplicityError
-    carrying the full solution list when there is no solution or more than
-    one.
+    exactly in Z[zeta_m].  Multiplicities pair up under conjugation,
+    mu_e = mu_{m-e}, so the unknowns are the conjugation orbits inside the
+    allowed set; an allowed exponent whose conjugate is excluded keeps
+    multiplicity 0.  Returns the multiplicities aligned with the sorted
+    allowed exponents; raises MultiplicityError carrying the full solution
+    list when there is no solution or more than one.
     """
     m, dimension, trace = _json_int(m), _json_int(dimension), _json_int(trace)
     if m < 1:
@@ -223,41 +220,31 @@ def multiplicity_solve(
     exps = tuple(sorted(set(_json_int(e) % m for e in allowed)))
     if not exps:
         raise DomainError("allowed exponent set is empty")
-
-    # With the reality flag the unknowns are the conjugation orbits that lie
-    # inside the allowed set; an allowed exponent whose conjugate is excluded
-    # belongs to no unknown and keeps multiplicity 0.
-    if real:
-        variables = sorted(
-            {tuple(sorted({e, (-e) % m})) for e in exps if (-e) % m in exps}
-        )
-    else:
-        variables = [(e,) for e in exps]
+    orbits = sorted({tuple(sorted({e, -e % m})) for e in exps if -e % m in exps})
 
     bound = 1
-    for members in variables:
-        bound *= dimension // len(members) + 1
+    for orbit in orbits:
+        bound *= dimension // len(orbit) + 1
         if bound > _SOLVE_CAP:
             raise EnumerationCapError("multiplicity search space too large")
 
     from . import cyclotomic
-    target = cyclotomic.integer_element(m, trace)
+    target = cyclotomic.element(m, {0: trace})
     solutions: list[tuple[int, ...]] = []
 
-    def search(idx: int, remaining: int, counts: dict[int, int]) -> None:
-        if idx == len(variables):
-            if remaining == 0 and cyclotomic.element(m, counts) == target:
-                solutions.append(tuple(counts.get(e, 0) for e in exps))
+    def search(mus: tuple[int, ...], remaining: int) -> None:
+        if len(mus) == len(orbits):  # a dict only where the dimension is used up
+            if remaining == 0:
+                counts = {e: mu for orbit, mu in zip(orbits, mus) for e in orbit}
+                if cyclotomic.element(m, counts) == target:
+                    solutions.append(tuple(counts.get(e, 0) for e in exps))
             return
-        members = variables[idx]
-        for mu in range(remaining // len(members) + 1):
-            for e in members:
-                counts[e] = mu
-            search(idx + 1, remaining - mu * len(members), counts)
-        for e in members:
-            counts.pop(e, None)
+        size = len(orbits[len(mus)])
+        last = len(mus) == len(orbits) - 1  # the last orbit takes what is left
+        for mu in [remaining // size] if last else range(remaining // size + 1):
+            search(mus + (mu,), remaining - mu * size)
 
-    search(0, dimension, {})
+    search((), dimension)
     if len(solutions) != 1:
         kind = "no" if not solutions else f"{len(solutions)}"
         raise MultiplicityError(

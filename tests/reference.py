@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import types
+from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
@@ -267,6 +268,23 @@ def divisor_spin_by_parity(n: int) -> DivisibilityBound:
     return DivisibilityBound(n, den, 2 ** (2 * m) * den, "lower_bound_only")
 
 
+def bernoulli_by_tangent_numbers(n: int) -> list[Fraction]:
+    """The positive Bernoulli numbers B_1 .. B_n (B_k = |B_2k| classically)
+    from the integer tangent numbers: B_k = 2k T_k / (4^k (4^k - 1)).
+
+    T_1 .. T_n come from Brent and Harvey's in-place recurrence ("Fast
+    computation of Bernoulli, Tangent and Secant numbers", 2011), which
+    never leaves the integers.
+    """
+    t = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return [Fraction(2 * k * t[k], 4**k * (4**k - 1)) for k in range(1, n + 1)]
+
+
 # -------------------------------------------------------------- char_classes
 
 
@@ -322,6 +340,16 @@ def reduced_sphere_lambdas(n_max: int) -> list[IntPolynomial]:
     return values[: n_max + 1]
 
 
+def girard_waring_lambda(n: int) -> IntPolynomial:
+    """lambda_n for n >= 1 by Girard-Waring, each binomial built in full and
+    the sum reduced mod 2 c3 afterwards."""
+    terms = {}
+    for j in range(n % 2, n // 3 + 1, 2):
+        i = (n - 3 * j) // 2
+        terms[i, j] = (-1) ** i * n * math.comb(i + j, i) // (i + j)
+    return reduce_mod_2c3(IntPolynomial(QUOTIENT_GENS, terms))
+
+
 def reduced_lambda_kappa_difference(n: int) -> IntPolynomial:
     """lambda_n - kappa_n, with kappa_2k = 2 p1^k sent to 2 (-c2)^k."""
     kappa = IntPolynomial.zero(QUOTIENT_GENS)
@@ -336,3 +364,30 @@ def reduced_lambda_kappa_difference(n: int) -> IntPolynomial:
 def zeta_power(m: int, k: int) -> tuple[int, ...]:
     """x^k reduced mod Phi_m, as a coefficient tuple of length deg Phi_m."""
     return element(m, {k: 1})
+
+
+# ------------------------------------------------------------------- seifert
+
+
+def _fiber_sums(d, spec):
+    """(a / (2 a_j^2), sum s, sum s^2) for each exceptional fiber j."""
+    a = d.a
+    for (aj, _), profile in zip(d.pairs, spec.profiles):
+        s1 = sum(profile.s_values, Fraction(0))
+        s2 = sum((s * s for s in profile.s_values), Fraction(0))
+        yield Fraction(a, 2 * aj * aj), s1, s2
+
+
+def e_simple_by_power_sums(d, spec) -> Fraction:
+    """-sum_j a sum_k s_k(j)^2 / (2 a_j^2), before reduction mod Z."""
+    return -sum((w * s2 for w, _, s2 in _fiber_sums(d, spec)), Fraction(0))
+
+
+def e_general_by_power_sums(d, spec) -> Fraction:
+    """-sum_j a (2N sum s^2 - 2 (sum s)^2) / (2 a_j^2), before reduction mod
+    Z: per fiber, sum_k sum_l (s_k - s_l)^2 = 2N sum s^2 - 2 (sum s)^2."""
+    n = spec.dimension
+    return -sum(
+        (w * (2 * n * s2 - 2 * s1 * s1) for w, s1, s2 in _fiber_sums(d, spec)),
+        Fraction(0),
+    )

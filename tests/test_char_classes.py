@@ -26,6 +26,7 @@ from spincalc.polynomials import IntPolynomial
 
 from reference import (
     check_odd_symplectic_identity,
+    girard_waring_lambda,
     odd_symplectic_constant,
     repeated_products,
 )
@@ -137,6 +138,13 @@ def test_sphere_lambda_matches_newton_power_sums():
                 assert (lifted - sums[n]) % (2 * c3) == 0
     # index 0 is the rank 2 of the index bundle, not the power sum 3
     assert evaluate(sphere_lambda(0).poly, 1, 1) == 2
+
+
+def test_sphere_lambda_parities_match_the_full_binomials():
+    # the product reads each c3 coefficient's parity off binary digit sums;
+    # the oracle builds the Girard-Waring binomials and reduces them
+    for n in [*range(1, 700), 2000, 20000]:
+        assert sphere_lambda(n).poly == girard_waring_lambda(n), n
 
 
 def test_lambda_kappa_difference_is_two_torsion():

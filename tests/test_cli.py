@@ -1,5 +1,6 @@
 """Tests for the command line interface."""
 
+import ast
 import contextlib
 import importlib
 import io
@@ -388,11 +389,11 @@ def _src_env():
 
 def _modules_after(argv, cwd=None):
     """The names in sys.modules after `main(argv)` has run, and succeeded, in
-    a fresh interpreter."""
+    a fresh interpreter that imports nothing else, json included."""
     probe = (
-        "import json, sys; from spincalc.cli import main; "
+        "import sys; from spincalc.cli import main; "
         "code = main(sys.argv[1:]); "
-        "print(json.dumps(sorted(sys.modules))); sys.exit(code)"
+        "print(sorted(sys.modules)); sys.exit(code)"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe, *argv],
@@ -402,7 +403,7 @@ def _modules_after(argv, cwd=None):
         text=True,
         check=True,
     )
-    return set(json.loads(out.stdout.splitlines()[-1]))
+    return set(ast.literal_eval(out.stdout.splitlines()[-1]))
 
 
 def test_cli_import_pulls_in_no_numeric_backend():
@@ -447,6 +448,9 @@ GROUP_UNUSED = {"seifert", "cyclotomic", "exact_arith", "f2_forms", "char_classe
          {"cyclotomic", "icosa_group"}),
         (["icosa", "--census"], "icosa_group", GROUP_UNUSED),
         (["icosa", "--verify"], "icosa_group", GROUP_UNUSED),
+        (["bernoulli", "--k", "6", "--json"], "exact_arith", {"seifert", "f2_forms"}),
+        (["forms", "--g", "3", "--json"], "f2_forms", F2_UNUSED),
+        (["icosa", "--census", "--json"], "icosa_group", GROUP_UNUSED),
     ],
 )
 def test_subcommand_loads_only_the_layers_it_uses(tmp_path, argv, needed, unused):
@@ -455,6 +459,8 @@ def test_subcommand_loads_only_the_layers_it_uses(tmp_path, argv, needed, unused
     loaded = {m.removeprefix("spincalc.") for m in _modules_after(argv, tmp_path)}
     assert needed in loaded
     assert not unused & loaded
+    # json is loaded only to read a document or to print one
+    assert ("json" in loaded) == ("--input" in argv or "--json" in argv)
 
 
 def test_closed_stdout_pipe_exits_quietly():
@@ -657,6 +663,8 @@ _CLASS_ARGUMENTS = [
     for flag in ("", " --json")
 ]
 _GOLDEN_ARGUMENTS += [a for a in _CLASS_ARGUMENTS if a not in _GOLDEN_ARGUMENTS]
+# lambda_n at an index where most c3 terms are even and vanish
+_GOLDEN_ARGUMENTS += [f"lambda --family sphere --n 2000{flag}" for flag in ("", " --json")]
 
 
 def test_output_matches_recorded_bytes(capsys, tmp_path, monkeypatch):

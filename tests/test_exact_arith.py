@@ -19,7 +19,7 @@ from spincalc.exact_arith import (
     von_staudt_factorization,
 )
 
-from reference import divisor_spin_by_parity
+from reference import bernoulli_by_tangent_numbers, divisor_spin_by_parity
 
 
 def classical_bernoulli(n_max):
@@ -62,6 +62,20 @@ def test_bernoulli_matches_classical_recurrence():
     for k in range(1, 21):
         assert bernoulli_paper(k) == abs(classical[2 * k])
         assert bernoulli_paper(k) > 0
+
+
+def test_bernoulli_matches_tangent_numbers():
+    tangent = bernoulli_by_tangent_numbers(60)
+    for k in range(1, 61):
+        assert bernoulli_paper(k) == tangent[k - 1], k
+
+
+def test_tangent_numbers_match_sympy():
+    # a third route, from outside the project; sympy is a test-only oracle
+    sympy = pytest.importorskip("sympy")
+    for k, value in enumerate(bernoulli_by_tangent_numbers(60), start=1):
+        b = sympy.bernoulli(2 * k)
+        assert value == abs(Fraction(int(b.p), int(b.q))), k
 
 
 def test_bernoulli_known_values():

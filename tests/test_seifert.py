@@ -41,6 +41,8 @@ from spincalc.seifert import (
     stabilized_e,
 )
 
+from reference import e_general_by_power_sums, e_simple_by_power_sums
+
 
 def test_seifert_data_validation():
     with pytest.raises(InvalidSeifertDataError) as excinfo:
@@ -146,7 +148,7 @@ def test_multiplicity_solver_order_dimension_and_trace_must_be_integers(args):
 
 
 def test_multiplicity_solver_forced_zero_orbits():
-    # with real=True an exponent whose conjugate is excluded must vanish
+    # an exponent whose conjugate is excluded must vanish
     assert multiplicity_solve(5, 0, 0, (1,)) == (0,)
     with pytest.raises(MultiplicityError) as info:
         multiplicity_solve(5, 1, 0, (1,))
@@ -175,7 +177,10 @@ def test_multiplicity_solver_guards():
     with pytest.raises(DomainError):
         multiplicity_solve(3, 1, 0, ())
     with pytest.raises(EnumerationCapError):
-        multiplicity_solve(50, 50, 0, tuple(range(50)), real=False)
+        multiplicity_solve(50, 50, 0, tuple(range(50)))
+    # the solver has one mode: conjugate multiplicities always pair up
+    with pytest.raises(TypeError):
+        multiplicity_solve(6, 28, 2, (1, 3, 5), real=True)
 
 
 def profile_multiset(profile):
@@ -358,6 +363,37 @@ def test_general_formula_couples_to_simple_formula():
         correction = correction_term(result.data, result.rep.profiles)
         rhs = (2 * result.rep.dimension) * result.value + ModZ(correction)
         assert lhs == rhs
+
+
+def _seeded_bundle(rng):
+    """Random coprime pairs and rational s-values with N <= 30, and a
+    trivial or scalar centre."""
+    pairs = []
+    for _ in range(rng.randint(1, 4)):
+        a = rng.randint(1, 7)
+        pairs.append((a, rng.choice([b for b in range(-7, 8) if math.gcd(a, b) == 1])))
+    n = rng.randint(1, 30)
+    profiles = tuple(
+        EigenvalueProfile(j, tuple(
+            Fraction(rng.randint(-2 * a, 2 * a), rng.choice((1, 1, 2, 3, n)))
+            for _ in range(n)
+        ))
+        for j, (a, _) in enumerate(pairs, start=1)
+    )
+    return SeifertData(tuple(pairs)), RepSpec(n, rng.choice((None, 0, n - 1)), profiles)
+
+
+def test_e_formulas_match_the_power_sums():
+    bundles = [(r.data, r.rep) for r in map(icosahedral_example, (1, 2, 3))]
+    rng = random.Random(2026)
+    bundles += [_seeded_bundle(rng) for _ in range(100)]
+    simple = 0
+    for d, rep in bundles:
+        assert e_general(d, rep) == ModZ(e_general_by_power_sums(d, rep))
+        if rep.trivial_center:
+            assert e_simple(d, rep) == ModZ(e_simple_by_power_sums(d, rep))
+            simple += 1
+    assert 0 < simple < len(bundles)
 
 
 def test_bare_coherence_holds_only_when_the_correction_is_integral():
@@ -630,17 +666,14 @@ def _shift_kernel(m):
     return [tuple(psi[(i - e) % m] for i in range(m)) for e in range(m)]
 
 
-def _solve_oracle(m, dimension, trace, allowed, real):
+def _solve_oracle(m, dimension, trace, allowed):
     """All multiplicity vectors by definition, or None past the search cap.
 
-    With real=True, mu_e = mu_{-e}, and an exponent whose conjugate is not
-    allowed has mu_e = 0; so the unknowns are the conjugation orbits.
+    mu_e = mu_{-e}, and an exponent whose conjugate is not allowed has
+    mu_e = 0; so the unknowns are the conjugation orbits.
     """
     exps = sorted({e % m for e in allowed})
-    if real:
-        unknowns = sorted({tuple(sorted({e, -e % m})) for e in exps if -e % m in exps})
-    else:
-        unknowns = [(e,) for e in exps]
+    unknowns = sorted({tuple(sorted({e, -e % m})) for e in exps if -e % m in exps})
     bound = 1
     for members in unknowns:
         bound *= dimension // len(members) + 1
@@ -699,17 +732,19 @@ def test_multiplicity_solver_matches_the_definition_on_seeded_cases():
             dimension = rng.randint(0, 12)
             trace = rng.randint(-dimension, dimension)
             allowed = tuple(rng.sample(range(-m, 2 * m), rng.randint(1, m)))
-        exps, expected = _solve_oracle(m, dimension, trace, allowed, real)
+        if not real:  # the draws stay as they were; the solver has no other mode
+            continue
+        exps, expected = _solve_oracle(m, dimension, trace, allowed)
         if expected is None:
             with pytest.raises(EnumerationCapError):
-                multiplicity_solve(m, dimension, trace, allowed, real=real)
+                multiplicity_solve(m, dimension, trace, allowed)
             outcomes["cap"] += 1
         elif len(expected) == 1:
-            assert multiplicity_solve(m, dimension, trace, allowed, real=real) == expected[0]
+            assert multiplicity_solve(m, dimension, trace, allowed) == expected[0]
             outcomes["solved"] += 1
         else:
             with pytest.raises(MultiplicityError) as info:
-                multiplicity_solve(m, dimension, trace, allowed, real=real)
+                multiplicity_solve(m, dimension, trace, allowed)
             assert sorted(info.value.solutions) == sorted(expected)
             kind = "no" if not expected else str(len(expected))
             assert str(info.value) == (
@@ -717,4 +752,5 @@ def test_multiplicity_solver_matches_the_definition_on_seeded_cases():
                 f"trace={trace}, allowed={tuple(exps)}"
             )
             outcomes["ambiguous" if expected else "none"] += 1
-    assert all(outcomes.values()), outcomes
+    # paired orbits at these sizes stay under the cap; the guards test hits it
+    assert outcomes.pop("cap") == 0 and all(outcomes.values()), outcomes
