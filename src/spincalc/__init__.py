@@ -46,8 +46,6 @@ _HOME = {
     "forms_isomorphic": "f2_forms",
     "normalize": "f2_forms",
     "random_symplectic": "f2_forms",
-    "standard_gram": "f2_forms",
-    "symplectic_basis": "f2_forms",
     "RiemannRochDim": "char_classes",
     "cokernel_dim": "char_classes",
     "hp_infinity_kappa": "char_classes",

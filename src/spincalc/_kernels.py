@@ -8,6 +8,10 @@ evaluated and popcounts do the counting.
 
 All kernels assume the standard symplectic pairing on basis
 (a_1 .. a_g, b_1 .. b_g): bit i pairs with bit g + i.
+
+A form's table is looked up, not summed mask by mask: the planes (a_i, b_i)
+go in groups of three, each keeping one table per choice of its basis values.
+At g = 8 that is 144 tables of 8 KiB, at most 1.25 MiB, built on first use.
 """
 
 from __future__ import annotations
@@ -28,25 +32,35 @@ def _coordinate_masks(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _pair_part(g: int) -> int:
-    """Table of q0(x) = sum_i x_{a_i} x_{b_i} mod 2.
-
-    This is the purely quadratic part of any form in the standard basis,
-    shared by all forms of the same genus.
+def _group_tables(g: int) -> tuple[tuple[int, int, int, int, tuple[int, ...]], ...]:
+    """(a_shift, a_mask, b_shift, b_mask, tables) for each group of k <= 3
+    planes s .. s+k-1.  Table c is the group's part sum_i x_{a_i} x_{b_i} of
+    q0 XOR the coordinate masks of the basis values that c picks, its low k
+    bits for q(a_s) .. q(a_{s+k-1}) and its high k bits for the b's, so
+    c = basis_values >> a_shift & a_mask | basis_values >> b_shift & b_mask.
     """
     masks = _coordinate_masks(2 * g)
-    table = 0
-    for i in range(g):
-        table ^= masks[i] & masks[g + i]
-    return table
+    groups = []
+    for s in range(0, g, 3):
+        k = min(3, g - s)
+        coords = [*range(s, s + k), *range(g + s, g + s + k)]
+        tables = [0]
+        for i in range(s, s + k):
+            tables[0] ^= masks[i] & masks[g + i]
+        for c in range(1, 1 << 2 * k):
+            low = c & -c
+            tables.append(tables[c ^ low] ^ masks[coords[low.bit_length() - 1]])
+        lo = (1 << k) - 1
+        groups.append((s, lo, g + s - k, lo << k, tuple(tables)))
+    return tuple(groups)
 
 
 def form_values(g: int, basis_values: int) -> int:
-    """q(x) for every vector x, packed as bit x of an int of 4^g bits: the pair
-    part XOR the coordinate masks C_j at the set bits j of basis_values only."""
-    masks = _coordinate_masks(2 * g)
-    table = _pair_part(g)
-    while basis_values:
-        table ^= masks[(basis_values & -basis_values).bit_length() - 1]
-        basis_values &= basis_values - 1
+    """q(x) for every vector x, packed as bit x of an int of 4^g bits: the
+    XOR of one table per group of planes, each picked by basis_values."""
+    groups = iter(_group_tables(g))
+    a_shift, a_mask, b_shift, b_mask, tables = next(groups)
+    table = tables[basis_values >> a_shift & a_mask | basis_values >> b_shift & b_mask]
+    for a_shift, a_mask, b_shift, b_mask, tables in groups:
+        table ^= tables[basis_values >> a_shift & a_mask | basis_values >> b_shift & b_mask]
     return table

@@ -30,16 +30,15 @@ from .errors import (
 )
 
 # The largest genus that enumerate_forms lists and arf_gauss sweeps, a memory
-# bound: one value table is 4^g bits (8 KiB at g = 8), and the coordinate-mask
-# cache in _kernels holds 2g such tables.  The counts are closed forms.
+# bound: one value table is 4^g bits (8 KiB at g = 8), and _kernels keeps 2g
+# coordinate masks and the group tables, 144 tables or at most 1.25 MiB at
+# g = 8 (6.4 MiB at g = 9).  The counts are closed forms.
 DEFAULT_GENUS_CAP = 8
 
 
-def standard_gram(g: int) -> tuple[int, ...]:
+def _standard_gram(g: int) -> tuple[int, ...]:
     """Gram rows of the standard symplectic pairing in dimension 2g."""
-    rows = [1 << (g + i) for i in range(g)]
-    rows += [1 << i for i in range(g)]
-    return tuple(rows)
+    return tuple(1 << (i + g) % (2 * g) for i in range(2 * g))
 
 
 def _standard_pair(g: int, x: int, y: int) -> int:
@@ -109,7 +108,7 @@ class QuadraticForm(namedtuple("QuadraticForm", "g basis_values gram")):
                     row &= row - 1
             if tuple(transpose) != gram:
                 raise InvalidFormError("pairing must be symmetric")
-            if gram == standard_gram(g):
+            if gram == _standard_gram(g):
                 gram = None
         self = tuple.__new__(cls, (g, basis_values, gram))
         if gram is not None:
@@ -118,7 +117,7 @@ class QuadraticForm(namedtuple("QuadraticForm", "g basis_values gram")):
 
     @cached_property
     def _symplectic_values(self) -> int:
-        """q's values on symplectic_basis(gram), from one reduction."""
+        """q's values on a symplectic basis of gram, from one reduction."""
         return _reduce(self.gram, self.basis_values)[1]
 
     @property
@@ -153,7 +152,14 @@ def eval_form(q: QuadraticForm, x: int) -> int:
 
 
 def _reduce(gram: tuple[int, ...], basis_values: int) -> tuple[list[int], int]:
-    """symplectic_basis(gram) and q's values on it, packed like basis_values."""
+    """A basis (a_1..a_g, b_1..b_g) with a_i.b_j = delta_ij, a_i.a_j = b_i.b_j = 0,
+    and q's values on it, packed like basis_values, by symplectic Gram-Schmidt.
+
+    A radical raises DegeneratePairingError: the pairs chosen and candidates
+    left always form a basis, so an odd count ends with no partner.  Each
+    candidate u carries Bu (Be_i = gram[i]), so u.y is the parity of Bu & y,
+    and q(u): adding v adds q(v) + u.v, then adding w adds q(w) alone.
+    """
     vectors = [1 << i for i in range(len(gram))]
     images = list(gram)
     values = [(basis_values >> i) & 1 for i in range(len(gram))]
@@ -182,24 +188,6 @@ def _reduce(gram: tuple[int, ...], basis_values: int) -> tuple[list[int], int]:
                 images[k] ^= bw
                 values[k] ^= qw
     return a_side + b_side, bits
-
-
-def symplectic_basis(gram: tuple[int, ...]) -> list[int]:
-    """A basis (a_1..a_g, b_1..b_g) with a_i.b_j = delta_ij, a_i.a_j = b_i.b_j = 0.
-
-    Runs symplectic Gram-Schmidt over F2 on the given alternating Gram rows
-    and raises DegeneratePairingError when the pairing has a radical.  The
-    chosen pairs and the candidates left always form a basis, so no candidate
-    becomes zero, and an odd count ends with a vector that has no partner.
-
-    Each candidate u carries its image Bu, the XOR of the Gram rows at its
-    set bits, starting from Be_i = gram[i].  Images change linearly with the
-    vectors (u ^= v gives Bu ^= Bv), so every pairing u.y is the parity of
-    Bu & y: one AND and one popcount.  u also carries q(u) for the
-    QuadraticForm constructor, which keeps the values: adding v adds
-    q(v) + u.v, then adding w adds q(w) alone, as u.w is 0 by then.
-    """
-    return _reduce(gram, 0)[0]
 
 
 def _values(q: QuadraticForm) -> int:

@@ -14,15 +14,36 @@ from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
-from spincalc import icosa_group
+from spincalc import _kernels, icosa_group
 from spincalc.cyclotomic import element
 from spincalc.errors import DegeneratePairingError, DomainError, WitnessSearchError
 from spincalc.exact_arith import DivisibilityBound, bernoulli_quotient, von_staudt_den
-from spincalc.f2_forms import QuadraticForm, standard_gram
+from spincalc.f2_forms import QuadraticForm
 from spincalc.icosa_group import IDENTITY, P, enumerate_group, mul
 from spincalc.polynomials import QUOTIENT_GENS, IntPolynomial
 
 # ------------------------------------------------------------------ f2_forms
+
+
+def standard_gram(g):
+    """Gram rows of the standard symplectic pairing in dimension 2g."""
+    rows = [1 << (g + i) for i in range(g)]
+    rows += [1 << i for i in range(g)]
+    return tuple(rows)
+
+
+def form_values_by_masks(g, basis_values):
+    """The value table of the standard form of genus g with these basis values,
+    as the XOR of the pair part sum_i C_{a_i} & C_{b_i} and the coordinate
+    masks C_j at the set bits j of basis_values, one mask at a time."""
+    masks = _kernels._coordinate_masks(2 * g)
+    table = 0
+    for i in range(g):
+        table ^= masks[i] & masks[g + i]
+    for j in range(2 * g):
+        if (basis_values >> j) & 1:
+            table ^= masks[j]
+    return table
 
 
 def is_symplectic(g: int, cols: tuple[int, ...]) -> bool:
@@ -70,8 +91,8 @@ def gram_pair(gram, x, y):
 def loop_symplectic_basis(gram):
     """Symplectic Gram-Schmidt that pairs every vector with gram_pair.
 
-    The reference for symplectic_basis, which must make the same choices
-    in the same order and so return the same list.
+    The reference for the basis that f2_forms._reduce returns, which must
+    make the same choices in the same order and so return the same list.
     """
     candidates = [1 << i for i in range(len(gram))]
     a_side = []

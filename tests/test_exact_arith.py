@@ -44,6 +44,12 @@ def test_todd_series_low_coefficients():
     assert t[4] == Fraction(-1, 720)
 
 
+def test_todd_series_at_degrees_zero_and_one():
+    # td(z) = 1 + z/2 + ..., so degree 0 is a valid, one-term truncation
+    assert todd_coefficients(0) == [Fraction(1)]
+    assert todd_coefficients(1) == [1, Fraction(1, 2)]
+
+
 def test_todd_series_odd_coefficients_vanish():
     t = todd_coefficients(60)
     for n in range(3, 61, 2):

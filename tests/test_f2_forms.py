@@ -32,8 +32,6 @@ from spincalc.f2_forms import (
     forms_isomorphic,
     normalize,
     random_symplectic,
-    standard_gram,
-    symplectic_basis,
 )
 
 from reference import (
@@ -43,6 +41,7 @@ from reference import (
     is_symplectic,
     loop_symplectic_basis,
     normal_values,
+    standard_gram,
     symplectic_group,
     zeros_by_enumeration,
 )
@@ -436,7 +435,7 @@ def test_symplectic_basis_on_scrambled_pairings():
         for _ in range(10):
             cols = random_invertible(g, rng)
             gram = conjugated_gram(g, cols)
-            basis = symplectic_basis(gram)
+            basis = f2_forms._reduce(gram, 0)[0]
             assert len(basis) == n
             # pairings of the returned basis reproduce the standard ones
             for i in range(n):
@@ -477,7 +476,7 @@ def test_symplectic_basis_matches_the_loop_reference():
     degenerate = 0
     for gram in grams:
         want = outcome(loop_symplectic_basis, gram)
-        assert outcome(symplectic_basis, gram) == want
+        assert outcome(lambda gram: f2_forms._reduce(gram, 0)[0], gram) == want
         degenerate += isinstance(want, tuple)
     assert 0 < degenerate < len(grams)
 
@@ -527,9 +526,9 @@ def test_eval_form_matches_the_expansion_on_gram_forms():
 
 def test_symplectic_basis_rejects_degenerate_pairings():
     with pytest.raises(DegeneratePairingError):
-        symplectic_basis((0, 0))
+        f2_forms._reduce((0, 0), 0)
     with pytest.raises(DegeneratePairingError):
-        symplectic_basis((2, 1, 0))
+        f2_forms._reduce((2, 1, 0), 0)
 
 
 def alternating_gram(n, upper):
@@ -584,7 +583,7 @@ def test_normalize_preserves_the_form():
             q = QuadraticForm(g, bv, gram=gram)
             std = normalize(q)
             assert std.is_standard
-            basis = symplectic_basis(gram)
+            basis = f2_forms._reduce(gram, 0)[0]
             for x in xs:
                 assert eval_form(std, x) == eval_form(q, apply_map(tuple(basis), x))
             assert arf_basis(q) == arf_gauss(q)

@@ -1,9 +1,14 @@
 """Differential tests of the packed-bitset kernels against per-vector routes."""
 
+import random
+import sys
+
 import pytest
 
 from spincalc import _kernels
-from spincalc.f2_forms import QuadraticForm, arf_basis, eval_form
+from spincalc.f2_forms import DEFAULT_GENUS_CAP, QuadraticForm, arf_basis, eval_form
+
+from reference import form_values_by_masks
 
 
 def test_parity_table():
@@ -28,12 +33,40 @@ def test_parity_table_is_read_only():
 
 
 def test_pair_part_table():
+    # the reference's table of the zero form is q0(x) = sum_i x_{a_i} x_{b_i}
     for g in (1, 2, 3):
-        table = _kernels._pair_part(g)
+        table = form_values_by_masks(g, 0)
         for x in range(1 << (2 * g)):
             lo = x & ((1 << g) - 1)
             hi = x >> g
             assert (table >> x) & 1 == (lo & hi).bit_count() & 1
+
+
+def test_grouped_tables_match_the_mask_route():
+    # planes go in groups of three, so g = 1..8 covers last groups of one,
+    # two and three planes; every input up to g = 3, then 0, all ones, each
+    # single bit and seeded values, so each group boundary is crossed
+    rng = random.Random(26)
+    for g in range(1, 9):
+        n = 2 * g
+        if g <= 3:
+            inputs = range(1 << n)
+        else:
+            inputs = [0, (1 << n) - 1, *(1 << j for j in range(n))]
+            inputs += [rng.getrandbits(n) for _ in range(64)]
+        for bv in inputs:
+            assert _kernels.form_values(g, bv) == form_values_by_masks(g, bv), (g, bv)
+
+
+def test_group_tables_at_the_cap_fit_in_their_bound():
+    # the cap is a memory bound: 144 tables of 8 KiB at g = 8
+    groups = _kernels._group_tables(DEFAULT_GENUS_CAP)
+    size = sys.getsizeof(groups)
+    for group in groups:
+        size += sys.getsizeof(group) + sum(sys.getsizeof(part) for part in group[:4])
+        size += sys.getsizeof(group[4]) + sum(sys.getsizeof(t) for t in group[4])
+    assert sum(len(group[4]) for group in groups) == 144
+    assert size <= 1.25 * 2**20
 
 
 def test_form_values_match_pointwise_evaluation():

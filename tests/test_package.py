@@ -71,7 +71,7 @@ def test_every_public_name_resolves_to_its_definition():
         "                  'rows': rows}))"
     )
     names = report["all"]
-    assert names == sorted(set(names)) and len(names) == 64
+    assert names == sorted(set(names)) and len(names) == 62
     assert report["version"] == "0.1.0"
     for name, home, defined, cached, starred, listed in report["rows"]:
         assert home.startswith("spincalc.") and home != "spincalc.cli", name
