@@ -54,7 +54,6 @@ _HOME = {
     "riemann_roch_dim": "char_classes",
     "serre_duality_check": "char_classes",
     "sphere_kappa": "char_classes",
-    "sphere_kappa_in_quotient": "char_classes",
     "sphere_lambda": "char_classes",
     "torus_kappa": "char_classes",
     "torus_lambda": "char_classes",
@@ -72,7 +71,6 @@ _HOME = {
     "is_integral_homology_sphere": "seifert",
     "multiplicity_solve": "seifert",
     "order_in_pi3": "seifert",
-    "presentation": "seifert",
     "regular_increment": "seifert",
     "seifert_check_document": "seifert",
     "stabilized_e": "seifert",

@@ -11,7 +11,8 @@ All kernels assume the standard symplectic pairing on basis
 
 A form's table is looked up, not summed mask by mask: the planes (a_i, b_i)
 go in groups of three, each keeping one table per choice of its basis values.
-At g = 8 that is 144 tables of 8 KiB, at most 1.25 MiB, built on first use.
+The fixed f2_forms.GENUS_CAP = 8 bounds the genus, so there are at most 144
+tables of 8 KiB, 1.25 MiB in all, built on first use.
 """
 
 from __future__ import annotations
@@ -22,13 +23,12 @@ from functools import lru_cache
 @lru_cache(maxsize=None)
 def _coordinate_masks(n: int) -> tuple[int, ...]:
     """C_0 .. C_{n-1} over the 2^n vectors: bit x of C_j is bit j of x."""
-    full = (1 << (1 << n)) - 1
-    masks = []
-    for j in range(n):
-        width = 1 << j
-        # blocks of `width` zeros under `width` ones, from bit 0 up to bit 2^n
-        masks.append(full // ((1 << (2 * width)) - 1) * (((1 << width) - 1) << width))
-    return tuple(masks)
+    masks: tuple[int, ...] = ()
+    for k in range(n):
+        size = 1 << k
+        # each mask repeats over the next 2^k vectors; C_k is 2^k ones over 2^k zeros
+        masks = (*(m | m << size for m in masks), ((1 << size) - 1) << size)
+    return masks
 
 
 @lru_cache(maxsize=None)

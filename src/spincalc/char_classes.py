@@ -99,16 +99,12 @@ def sphere_lambda(n: int) -> QuotientedPolynomial:
     return QuotientedPolynomial(IntPolynomial(QUOTIENT_GENS, terms))
 
 
-def sphere_kappa_in_quotient(n: int) -> QuotientedPolynomial:
-    """Image of sphere kappa_n under p1 -> -c2, for comparison with lambda_n."""
-    minus_c2 = -IntPolynomial.generator(QUOTIENT_GENS, "c2")
-    image = sphere_kappa(n).substitute(QUOTIENT_GENS, {"p1": minus_c2})
-    return QuotientedPolynomial(image)
-
-
 def lambda_kappa_difference(n: int) -> QuotientedPolynomial:
-    """lambda_n - kappa_n in the quotient ring; always killed by 2."""
-    return sphere_lambda(n) - sphere_kappa_in_quotient(n)
+    """lambda_n - kappa_n in the quotient ring: kappa_2k = 2 p1^k goes to
+    (-1)^k 2 c2^k under p1 -> -c2, lambda_n's c3-free term, so the difference
+    is lambda_n's c3 terms, each of coefficient 1 and so killed by 2."""
+    terms = {e: c for e, c in sphere_lambda(n).terms.items() if e[1]}
+    return QuotientedPolynomial(IntPolynomial(QUOTIENT_GENS, terms))
 
 
 class RiemannRochDim(namedtuple("RiemannRochDim", "genus power dimension")):

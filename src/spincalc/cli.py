@@ -35,7 +35,7 @@ def _cmd_arf(args) -> tuple[str, dict]:
     q = f2_forms.form_from_bitstring(args.g, args.basis_values)
     arf = f2_forms.arf_basis(q)
     method = "basis"
-    if q.g <= f2_forms.DEFAULT_GENUS_CAP:
+    if q.g <= f2_forms.GENUS_CAP:
         gauss = f2_forms.arf_gauss(q)
         if gauss != arf:
             raise SpincalcError("basis and Gauss-sum routes disagree")

@@ -29,11 +29,11 @@ from .errors import (
     InvalidFormError,
 )
 
-# The largest genus that enumerate_forms lists and arf_gauss sweeps, a memory
-# bound: one value table is 4^g bits (8 KiB at g = 8), and _kernels keeps 2g
-# coordinate masks and the group tables, 144 tables or at most 1.25 MiB at
-# g = 8 (6.4 MiB at g = 9).  The counts are closed forms.
-DEFAULT_GENUS_CAP = 8
+# The largest genus that enumerate_forms lists and arf_gauss sweeps, a fixed
+# memory bound: one value table is 4^g bits (8 KiB at g = 8), and _kernels
+# keeps 2g coordinate masks and the group tables, 144 tables or at most
+# 1.25 MiB at g = 8.  The counts are closed forms.
+GENUS_CAP = 8
 
 
 def _standard_gram(g: int) -> tuple[int, ...]:
@@ -214,7 +214,7 @@ def arf_basis(q: QuadraticForm) -> ArfValue:
     return _arf(q.g, _values(q))
 
 
-def arf_gauss(q: QuadraticForm, cap: int = DEFAULT_GENUS_CAP) -> ArfValue:
+def arf_gauss(q: QuadraticForm) -> ArfValue:
     """Arf invariant as the sign of the Gauss sum sum_x (-1)^{q(x)}.
 
     The sum is computed by exhaustive enumeration of the 4^g-bit value
@@ -222,7 +222,7 @@ def arf_gauss(q: QuadraticForm, cap: int = DEFAULT_GENUS_CAP) -> ArfValue:
     cap.  It must come out as +-2^g; anything else means the input was not a
     quadratic refinement.
     """
-    _check_cap(q.g, cap)
+    _check_cap(q.g)
     total = (1 << 2 * q.g) - 2 * _kernels.form_values(q.g, _values(q)).bit_count()
     if abs(total) != 1 << q.g:
         raise InvalidFormError(f"Gauss sum {total} is not +-2^{q.g}")
@@ -237,18 +237,16 @@ def count_zeros(q: QuadraticForm) -> int:
     return ((1 << q.g) + _arf(q.g, _values(q)).multiplicative) << (q.g - 1)
 
 
-def _check_cap(g: int, cap: int) -> None:
-    if g > cap:
-        raise EnumerationCapError(
-            f"genus {g} exceeds the enumeration cap {cap}; raise cap explicitly"
-        )
+def _check_cap(g: int) -> None:
+    if g > GENUS_CAP:
+        raise EnumerationCapError(f"genus {g} exceeds the enumeration cap {GENUS_CAP}")
 
 
-def enumerate_forms(g: int, cap: int = DEFAULT_GENUS_CAP) -> list[QuadraticForm]:
+def enumerate_forms(g: int) -> list[QuadraticForm]:
     """All 4^g standard-pairing forms of genus g, ordered by basis values."""
     if g < 1:
         raise DomainError("genus must be at least 1")
-    _check_cap(g, cap)
+    _check_cap(g)
     return [QuadraticForm(g, bv) for bv in range(1 << (2 * g))]
 
 

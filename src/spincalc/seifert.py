@@ -71,35 +71,6 @@ def is_integral_homology_sphere(d: SeifertData) -> bool:
     return abs(homology_sphere_obstruction(d)) == 1
 
 
-Presentation = namedtuple("Presentation", "generators relations")
-
-
-def presentation(d: SeifertData) -> Presentation:
-    """Fundamental-group presentation with central generator h.
-
-    Relations in canonical order: centrality of h, the product relation,
-    then one power relation x_j^{a_j} = h^{-b_j} per fiber.  An empty pair
-    list presents the infinite cyclic group on h alone.
-    """
-    n = len(d.pairs)
-    gens = ("h",) + tuple(f"x{j}" for j in range(1, n + 1))
-    if n == 0:
-        return Presentation(gens, ())
-    relations = [f"[h,x{j}] = 1" for j in range(1, n + 1)]
-    relations.append("*".join(f"x{j}" for j in range(1, n + 1)) + " = 1")
-    for j, (a, b) in enumerate(d.pairs, start=1):
-        left = f"x{j}" if a == 1 else f"x{j}^{a}"
-        e = -b
-        if e == 0:
-            right = "1"
-        elif e == 1:
-            right = "h"
-        else:
-            right = f"h^{e}"
-        relations.append(f"{left} = {right}")
-    return Presentation(gens, tuple(relations))
-
-
 class FixedPointData(namedtuple("FixedPointData", "genus counts")):
     """Fixed point counts of the exceptional holonomies on a genus-g surface.
 

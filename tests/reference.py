@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
-from spincalc import _kernels, icosa_group
+from spincalc import icosa_group
 from spincalc.cyclotomic import element
 from spincalc.errors import DegeneratePairingError, DomainError, WitnessSearchError
 from spincalc.exact_arith import DivisibilityBound, bernoulli_quotient, von_staudt_den
@@ -32,11 +32,24 @@ def standard_gram(g):
     return tuple(rows)
 
 
+def coordinate_masks(n):
+    """C_0 .. C_{n-1} over the 2^n vectors, bit x of C_j being bit j of x,
+    each built at once: blocks of 2^j zeros under 2^j ones repeat from bit 0
+    up to bit 2^n, so C_j is the all-ones int divided by 2^(2^(j+1)) - 1,
+    times one block."""
+    full = (1 << (1 << n)) - 1
+    masks = []
+    for j in range(n):
+        width = 1 << j
+        masks.append(full // ((1 << (2 * width)) - 1) * (((1 << width) - 1) << width))
+    return tuple(masks)
+
+
 def form_values_by_masks(g, basis_values):
     """The value table of the standard form of genus g with these basis values,
     as the XOR of the pair part sum_i C_{a_i} & C_{b_i} and the coordinate
     masks C_j at the set bits j of basis_values, one mask at a time."""
-    masks = _kernels._coordinate_masks(2 * g)
+    masks = coordinate_masks(2 * g)
     table = 0
     for i in range(g):
         table ^= masks[i] & masks[g + i]

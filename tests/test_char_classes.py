@@ -15,14 +15,13 @@ from spincalc.char_classes import (
     riemann_roch_dim,
     serre_duality_check,
     sphere_kappa,
-    sphere_kappa_in_quotient,
     sphere_lambda,
     torus_kappa,
     torus_lambda,
 )
 from spincalc.errors import DomainError
 from spincalc.exact_arith import bernoulli_quotient
-from spincalc.polynomials import IntPolynomial
+from spincalc.polynomials import QUOTIENT_GENS, IntPolynomial, QuotientedPolynomial
 
 from reference import (
     check_odd_symplectic_identity,
@@ -148,10 +147,18 @@ def test_sphere_lambda_parities_match_the_full_binomials():
 
 
 def test_lambda_kappa_difference_is_two_torsion():
+    # the product reads the difference off lambda's c3 terms; here kappa's
+    # image under p1 -> -c2 is built by substitution and subtracted
+    minus_c2 = -IntPolynomial.generator(QUOTIENT_GENS, "c2")
+    renders = {}
     for n in range(0, 41):
+        image = sphere_kappa(n).substitute(QUOTIENT_GENS, {"p1": minus_c2})
+        image = QuotientedPolynomial(image)
+        renders[n] = image.render()
         diff = lambda_kappa_difference(n)
         assert (2 * diff).is_zero
-        assert diff == sphere_lambda(n) - sphere_kappa_in_quotient(n)
+        assert diff == sphere_lambda(n) - image
+    assert [renders[n] for n in (2, 4, 6, 3)] == ["-2*c2", "2*c2^2", "-2*c2^3", "0"]
 
 
 def test_lambda_equals_kappa_indices():
@@ -160,13 +167,6 @@ def test_lambda_equals_kappa_indices():
     equal = {n for n in range(0, 41) if lambda_kappa_difference(n).is_zero}
     assert equal == {0, 1, 2, 4, 8, 16, 32}
     assert equal >= {0, 1, 2, 4}
-
-
-def test_sphere_kappa_in_quotient():
-    assert sphere_kappa_in_quotient(2).render() == "-2*c2"
-    assert sphere_kappa_in_quotient(4).render() == "2*c2^2"
-    assert sphere_kappa_in_quotient(6).render() == "-2*c2^3"
-    assert sphere_kappa_in_quotient(3).is_zero
 
 
 def test_riemann_roch_spot_values():

@@ -6,9 +6,9 @@ import sys
 import pytest
 
 from spincalc import _kernels
-from spincalc.f2_forms import DEFAULT_GENUS_CAP, QuadraticForm, arf_basis, eval_form
+from spincalc.f2_forms import GENUS_CAP, QuadraticForm, arf_basis, eval_form
 
-from reference import form_values_by_masks
+from reference import coordinate_masks, form_values_by_masks
 
 
 def test_parity_table():
@@ -24,6 +24,9 @@ def test_parity_table():
             parity ^= mask
         for x in range(1 << nbits):
             assert (parity >> x) & 1 == x.bit_count() & 1
+    # the product doubles smaller masks; the oracle divides, as at g = 8
+    for nbits in (*range(11), 16):
+        assert _kernels._coordinate_masks(nbits) == coordinate_masks(nbits), nbits
 
 
 def test_parity_table_is_read_only():
@@ -60,7 +63,7 @@ def test_grouped_tables_match_the_mask_route():
 
 def test_group_tables_at_the_cap_fit_in_their_bound():
     # the cap is a memory bound: 144 tables of 8 KiB at g = 8
-    groups = _kernels._group_tables(DEFAULT_GENUS_CAP)
+    groups = _kernels._group_tables(GENUS_CAP)
     size = sys.getsizeof(groups)
     for group in groups:
         size += sys.getsizeof(group) + sum(sys.getsizeof(part) for part in group[:4])

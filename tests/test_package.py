@@ -71,7 +71,7 @@ def test_every_public_name_resolves_to_its_definition():
         "                  'rows': rows}))"
     )
     names = report["all"]
-    assert names == sorted(set(names)) and len(names) == 62
+    assert names == sorted(set(names)) and len(names) == 60
     assert report["version"] == "0.1.0"
     for name, home, defined, cached, starred, listed in report["rows"]:
         assert home.startswith("spincalc.") and home != "spincalc.cli", name
@@ -147,6 +147,50 @@ def test_every_top_level_definition_is_used_by_the_product():
         and not (stmt.name.startswith("__") and stmt.name.endswith("__"))
     ]
     assert unused == []
+
+
+def _names_reached(source: str) -> set[str]:
+    """The names that Python source calls or imports, the names it calls
+    through a string argument (perfbench's getattr(S, "name")), and every
+    string of the form "layer.name" (perfbench's tracer hooks)."""
+    reached = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            reached.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Call):
+            reached.add(getattr(node.func, "id", getattr(node.func, "attr", None)))
+            for arg in node.args:
+                for leaf in arg.elts if isinstance(arg, ast.Tuple) else [arg]:
+                    if isinstance(leaf, ast.Constant) and isinstance(leaf.value, str):
+                        reached.add(leaf.value)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if re.fullmatch(r"\w+\.\w+", node.value):
+                reached.add(node.value)
+    return reached
+
+
+def test_every_public_function_is_reached_by_a_user():
+    # A public function stays only if the README documents it (in backticks
+    # or in its Python examples), the CLI or perfbench calls it, or an
+    # acceptance test states a paper fact through it.  A bare word does not
+    # count: the README's "presentation triple" names no function.
+    root = pathlib.Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    reached = set(re.findall(r"`(\w+)[`(]", readme))
+    examples = re.findall(r"^>>> (.*)$", readme, re.M)
+    reached |= _names_reached("\n".join(examples))
+    sources = [root / "src" / "spincalc" / "cli.py", root / "tests" / "test_acceptance.py"]
+    sources += sorted((root / "perfbench").rglob("*.py"))
+    for path in sources:
+        reached |= _names_reached(path.read_text(encoding="utf-8"))
+    unreached = [
+        name
+        for name, layer in spincalc._HOME.items()
+        if inspect.isfunction(getattr(spincalc, name))
+        and name not in reached
+        and f"{layer}.{name}" not in reached
+    ]
+    assert unreached == []
 
 
 def test_readme_library_examples():

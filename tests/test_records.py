@@ -19,7 +19,6 @@ from spincalc.seifert import (
     EigenvalueProfile,
     FixedPointData,
     IcosahedralResult,
-    Presentation,
     RepSpec,
     SeifertData,
 )
@@ -66,11 +65,7 @@ _RECORDS = [
         {"pairs": ((2, -1), (3, 1), (5, 1))},
         "SeifertData(pairs=((2, -1), (3, 1), (5, 1)))",
     ),
-    (
-        Presentation,
-        {"generators": ("h", "x1"), "relations": ("[h,x1] = 1", "x1 = 1")},
-        "Presentation(generators=('h', 'x1'), relations=('[h,x1] = 1', 'x1 = 1'))",
-    ),
+    (SeifertData, {"pairs": ()}, "SeifertData(pairs=())"),
     (
         FixedPointData,
         {"genus": 5, "counts": (2, 4, 2)},

@@ -33,7 +33,6 @@ from spincalc.seifert import (
     lefschetz_trace,
     multiplicity_solve,
     order_in_pi3,
-    presentation,
     regular_increment,
     repspec_from_document,
     seifert_check_document,
@@ -78,28 +77,6 @@ def test_other_obstruction_values():
     not_sphere = SeifertData(((2, 1), (3, 1), (5, 1)))
     assert homology_sphere_obstruction(not_sphere) == 31
     assert not is_integral_homology_sphere(not_sphere)
-
-
-def test_presentation_of_the_poincare_sphere():
-    p = presentation(POINCARE)
-    assert p.generators == ("h", "x1", "x2", "x3")
-    assert p.relations == (
-        "[h,x1] = 1",
-        "[h,x2] = 1",
-        "[h,x3] = 1",
-        "x1*x2*x3 = 1",
-        "x1^2 = h",
-        "x2^3 = h^-1",
-        "x3^5 = h^-1",
-    )
-
-
-def test_presentation_corner_cases():
-    p = presentation(SeifertData(((1, 0),)))
-    assert p.relations == ("[h,x1] = 1", "x1 = 1", "x1 = 1")
-    empty = presentation(SeifertData(()))
-    assert empty.generators == ("h",)
-    assert empty.relations == ()
 
 
 def test_lefschetz_trace():
