@@ -146,19 +146,20 @@ def test_sphere_lambda_parities_match_the_full_binomials():
         assert sphere_lambda(n).poly == girard_waring_lambda(n), n
 
 
+def _kappa_image(n):
+    # kappa_n's image under p1 -> -c2 in Z[c2, c3]/(2 c3), built by
+    # substitution: the route the product no longer takes
+    minus_c2 = -IntPolynomial.generator(QUOTIENT_GENS, "c2")
+    return QuotientedPolynomial(sphere_kappa(n).substitute(QUOTIENT_GENS, {"p1": minus_c2}))
+
+
 def test_lambda_kappa_difference_is_two_torsion():
     # the product reads the difference off lambda's c3 terms; here kappa's
-    # image under p1 -> -c2 is built by substitution and subtracted
-    minus_c2 = -IntPolynomial.generator(QUOTIENT_GENS, "c2")
-    renders = {}
+    # image is built by substitution and subtracted
     for n in range(0, 41):
-        image = sphere_kappa(n).substitute(QUOTIENT_GENS, {"p1": minus_c2})
-        image = QuotientedPolynomial(image)
-        renders[n] = image.render()
         diff = lambda_kappa_difference(n)
         assert (2 * diff).is_zero
-        assert diff == sphere_lambda(n) - image
-    assert [renders[n] for n in (2, 4, 6, 3)] == ["-2*c2", "2*c2^2", "-2*c2^3", "0"]
+        assert diff == sphere_lambda(n) - _kappa_image(n)
 
 
 def test_lambda_equals_kappa_indices():
@@ -167,6 +168,13 @@ def test_lambda_equals_kappa_indices():
     equal = {n for n in range(0, 41) if lambda_kappa_difference(n).is_zero}
     assert equal == {0, 1, 2, 4, 8, 16, 32}
     assert equal >= {0, 1, 2, 4}
+
+
+def test_sphere_kappa_in_quotient():
+    assert _kappa_image(2).render() == "-2*c2"
+    assert _kappa_image(4).render() == "2*c2^2"
+    assert _kappa_image(6).render() == "-2*c2^3"
+    assert _kappa_image(3).is_zero
 
 
 def test_riemann_roch_spot_values():
