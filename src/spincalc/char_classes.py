@@ -85,11 +85,10 @@ def sphere_lambda(n: int) -> QuotientedPolynomial:
     The j = 0 term is (-1)^i 2.  A c3 term counts only by the parity of
     n C(i + j - 1, i) / j, which is odd exactly when v2(n) + s(i) + s(j - 1)
     - s(i + j - 1) = v2(j), s being the binary digit sum (Kummer).
-    lambda_0 is the rank of the index bundle, 2, not the power sum s_0 = 3.
+    lambda_0 is the rank of the index bundle, 2, not the power sum s_0 = 3;
+    at n = 0 the j = 0 term alone gives it.
     """
     _check_index(n)
-    if n == 0:
-        return QuotientedPolynomial.constant(2)
     terms = {(n // 2, 0): (-1) ** (n // 2) * 2} if n % 2 == 0 else {}
     for j in range(2 - n % 2, n // 3 + 1, 2):  # 2i = n - 3j is even
         i = (n - 3 * j) // 2

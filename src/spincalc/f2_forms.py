@@ -43,10 +43,7 @@ def _standard_gram(g: int) -> tuple[int, ...]:
 
 def _standard_pair(g: int, x: int, y: int) -> int:
     """x.y under the standard pairing, which couples bit i with bit g + i."""
-    lo = (1 << g) - 1
-    crossings = ((x & lo) & (y >> g)).bit_count()
-    crossings += ((y & lo) & (x >> g)).bit_count()
-    return crossings & 1
+    return ((x & y >> g) ^ (y & x >> g)).bit_count() & 1
 
 
 class ArfValue(namedtuple("ArfValue", "additive multiplicative")):
@@ -124,17 +121,11 @@ class QuadraticForm(namedtuple("QuadraticForm", "g basis_values gram")):
     def dim(self) -> int:
         return 2 * self.g
 
-    @property
-    def is_standard(self) -> bool:
-        return self.gram is None
-
     def pair(self, x: int, y: int) -> int:
         """The underlying symplectic pairing x.y."""
         if not (0 <= x < 1 << self.dim and 0 <= y < 1 << self.dim):
             raise DomainError("vector must fit in 2g bits")
-        if self.is_standard:
-            return _standard_pair(self.g, x, y)
-        return (apply_map(self.gram, x) & y).bit_count() & 1
+        return (apply_map(self.gram or _standard_gram(self.g), x) & y).bit_count() & 1
 
 
 def eval_form(q: QuadraticForm, x: int) -> int:
@@ -142,12 +133,10 @@ def eval_form(q: QuadraticForm, x: int) -> int:
     if not 0 <= x < (1 << q.dim):
         raise DomainError("vector must fit in 2g bits")
     linear = (x & q.basis_values).bit_count() & 1
-    if q.is_standard:
-        lo = (1 << q.g) - 1
-        return linear ^ (((x & lo) & (x >> q.g)).bit_count() & 1)
+    gram = q.gram or _standard_gram(q.g)
     # The cross term sum_{i<j} x_i x_j B_ij is the parity of x AND the XOR of
     # the strict upper triangle rows U_i at the set bits i of x.
-    upper = apply_map([row >> (i + 1) << (i + 1) for i, row in enumerate(q.gram)], x)
+    upper = apply_map([row >> (i + 1) << (i + 1) for i, row in enumerate(gram)], x)
     return linear ^ ((x & upper).bit_count() & 1)
 
 
@@ -157,8 +146,10 @@ def _reduce(gram: tuple[int, ...], basis_values: int) -> tuple[list[int], int]:
 
     A radical raises DegeneratePairingError: the pairs chosen and candidates
     left always form a basis, so an odd count ends with no partner.  Each
-    candidate u carries Bu (Be_i = gram[i]), so u.y is the parity of Bu & y,
-    and q(u): adding v adds q(v) + u.v, then adding w adds q(w) alone.
+    candidate u carries q(u) (adding v adds q(v) + u.v, then adding w adds
+    q(w) alone) and Be_i = gram[i] for the e_i it started as: u - e_i is a
+    sum of chosen pairs, to which every later partner y is orthogonal, so
+    u.y is the parity of Be_i & y.
     """
     vectors = [1 << i for i in range(len(gram))]
     images = list(gram)
@@ -173,7 +164,7 @@ def _reduce(gram: tuple[int, ...], basis_values: int) -> tuple[list[int], int]:
                 break
         else:
             raise DegeneratePairingError("vector with no symplectic partner")
-        w, bw, qw = vectors.pop(k), images.pop(k), values.pop(k)
+        w, _, qw = vectors.pop(k), images.pop(k), values.pop(k)
         bits |= qv << len(a_side) | qw << (len(gram) // 2 + len(a_side))
         a_side.append(v)
         b_side.append(w)
@@ -181,11 +172,9 @@ def _reduce(gram: tuple[int, ...], basis_values: int) -> tuple[list[int], int]:
             uv = (bu & v).bit_count() & 1
             if (bu & w).bit_count() & 1:
                 vectors[k] ^= v
-                images[k] ^= bv
                 values[k] ^= qv ^ uv
             if uv:
                 vectors[k] ^= w
-                images[k] ^= bw
                 values[k] ^= qw
     return a_side + b_side, bits
 
@@ -198,8 +187,6 @@ def _values(q: QuadraticForm) -> int:
 def normalize(q: QuadraticForm) -> QuadraticForm:
     """The same form written in a symplectic basis (standard pairing), its
     values carried through the reduction by q(u + v) = q(u) + q(v) + u.v."""
-    if q.gram is None:
-        return q
     # _reduce's values fit in 2g bits, so the checks are skipped, as in _replace.
     return tuple.__new__(QuadraticForm, (q.g, _values(q), None))
 

@@ -41,8 +41,7 @@ def inv(x: Element) -> Element:
 
 
 def power(x: Element, k: int) -> Element:
-    if k < 0:
-        return power(inv(x), -k)
+    """x^k for k >= 0, by repeated squaring."""
     out = IDENTITY
     base = x
     while k:

@@ -128,10 +128,6 @@ class RepSpec(namedtuple("RepSpec", "dimension scalar_exponent profiles")):
 
 
 def _matched_profiles(d: SeifertData, spec: RepSpec) -> list:
-    if len(spec.profiles) != len(d.pairs):
-        raise DomainError(
-            f"{len(spec.profiles)} profiles for {len(d.pairs)} exceptional fibers"
-        )
     expected = list(range(1, len(d.pairs) + 1))
     if [p.fiber for p in spec.profiles] != expected:
         raise DomainError("profiles must be given for fibers 1..n in order")
@@ -385,9 +381,8 @@ def _parse_rational(value, field: str) -> Fraction:
     if not _RATIONAL.fullmatch(value):
         raise DomainError(f"{field}bad rational {value!r}, not p or p/q, q nonzero")
     limit = getattr(sys, "get_int_max_str_digits", int)()  # none before 3.10.7
-    if limit and len(value) > limit:  # a shorter string has no longer p or q
-        if max(map(len, value.lstrip("-").split("/"))) > limit:
-            raise DomainError(f"{field}p or q past the {limit}-digit int/str limit")
+    if limit and max(map(len, value.lstrip("-").split("/"))) > limit:
+        raise DomainError(f"{field}p or q past the {limit}-digit int/str limit")
     return Fraction(value)
 
 

@@ -1,11 +1,14 @@
 """Mutation sweep: does the test suite notice a wrong product?
 
-Each mutant changes one AST site of one module under src/spincalc: a
-comparison, + and -, * and //, a bit operator, a shift, or an int constant
-plus 1.  Annotations are skipped, since `from __future__ import annotations`
-never evaluates them.  The mutated module is written into a copy of the
-repository, and the named test files run there with -x; a mutant is killed
-when they fail or time out, and survives when they pass.
+Each operator mutant changes one AST site of one module under
+src/spincalc: a comparison, + and -, * and //, a bit operator, a shift, or an
+int constant plus 1.  Annotations are skipped, since `from __future__ import
+annotations` never evaluates them.  Each statement mutant then replaces one
+statement of a function, if, loop, with or try body by `pass`; docstrings
+and existing `pass` statements are left alone.  Statement mutants always
+run after the operator mutants.  The mutated module is written into a copy
+of the repository, and the named test files run there with -x; a mutant is
+killed when they fail or time out, and survives when they pass.
 
 Run from the repository root, for example:
 
@@ -13,7 +16,8 @@ Run from the repository root, for example:
         tests/test_char_classes.py tests/test_acceptance.py --workdir /tmp/mut
 
 --workdir names a directory that does not exist yet.  It prints one line
-per mutant and a summary.  The file is not named test_*, so pytest does not
+per mutant (a statement mutant shows the first line of the deleted
+statement) and a summary.  The file is not named test_*, so pytest does not
 collect it.
 """
 
@@ -53,8 +57,25 @@ def _annotation_nodes(tree: ast.AST) -> set[int]:
     return skip
 
 
+_BLOCKS = (
+    ast.FunctionDef, ast.AsyncFunctionDef, ast.If, ast.For, ast.AsyncFor, ast.While,
+    ast.With, ast.AsyncWith, ast.Try, ast.ExceptHandler,
+)
+
+
+def _is_docstring(block: ast.AST, field: str, i: int, stmt: ast.stmt) -> bool:
+    return (
+        isinstance(block, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and (field, i) == ("body", 0)
+        and isinstance(stmt, ast.Expr)
+        and isinstance(stmt.value, ast.Constant)
+        and isinstance(stmt.value.value, str)
+    )
+
+
 def sites(tree: ast.AST):
-    """(node, field, index, new value, label) for every mutable site, in walk order."""
+    """(node, field, index, new value, line, label) for every mutable site:
+    the operator sites in walk order, then the statement sites in walk order."""
     skip = _annotation_nodes(tree)
     for node in ast.walk(tree):
         if id(node) in skip:
@@ -63,24 +84,36 @@ def sites(tree: ast.AST):
             for i, op in enumerate(node.ops):
                 if type(op) in _SWAPS:
                     new = _SWAPS[type(op)]
-                    yield node, "ops", i, new(), f"{type(op).__name__} -> {new.__name__}"
+                    label = f"{type(op).__name__} -> {new.__name__}"
+                    yield node, "ops", i, new(), node.lineno, label
         elif isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in _SWAPS:
             new = _SWAPS[type(node.op)]
-            yield node, "op", None, new(), f"{type(node.op).__name__} -> {new.__name__}"
+            label = f"{type(node.op).__name__} -> {new.__name__}"
+            yield node, "op", None, new(), node.lineno, label
         elif isinstance(node, ast.Constant) and type(node.value) is int:
-            yield node, "value", None, node.value + 1, f"{node.value} -> {node.value + 1}"
+            new = node.value + 1
+            yield node, "value", None, new, node.lineno, f"{node.value} -> {new}"
+    for node in ast.walk(tree):
+        if not isinstance(node, _BLOCKS):
+            continue
+        for field in ("body", "orelse", "finalbody"):
+            for i, stmt in enumerate(getattr(node, field, ())):
+                if isinstance(stmt, ast.Pass) or _is_docstring(node, field, i, stmt):
+                    continue
+                first = ast.unparse(stmt).splitlines()[0]
+                yield node, field, i, ast.Pass(), stmt.lineno, f"delete: {first}"
 
 
 def mutant_source(source: str, k: int) -> tuple[int, str, str]:
     """The line, label and source of mutant k."""
     tree = ast.parse(source)
-    for j, (node, field, index, new, label) in enumerate(sites(tree)):
+    for j, (node, field, index, new, line, label) in enumerate(sites(tree)):
         if j == k:
             if index is None:
                 setattr(node, field, new)
             else:
                 getattr(node, field)[index] = new
-            return node.lineno, label, ast.unparse(tree)
+            return line, label, ast.unparse(tree)
     raise IndexError(k)
 
 

@@ -28,7 +28,6 @@ from spincalc.exact_arith import (
 )
 from spincalc.f2_forms import (
     QuadraticForm,
-    apply_map,
     arf_basis,
     arf_gauss,
     count_by_arf,

@@ -84,7 +84,7 @@ def test_torus_classes():
 def test_negative_index_rejected():
     for fn in (sphere_kappa, proj_bundle_kappa, hp_infinity_kappa,
                torus_kappa, torus_lambda, sphere_lambda):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^class index must be nonnegative$"):
             fn(-1)
 
 

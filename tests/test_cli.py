@@ -48,12 +48,22 @@ def test_arf_json(capsys):
         "multiplicative": -1,
         "method": "basis+gauss",
     }
+    # the Gauss-sum cross-check runs up to the enumeration cap, and not past it
+    for g, method in ((8, "basis+gauss"), (9, "basis")):
+        bits = "0" * (2 * g - 2) + "11"
+        doc = run_json(capsys, "arf", "--g", str(g), "--basis-values", bits)
+        assert (doc["additive"], doc["method"]) == (0, method)
 
 
 def test_forms(capsys):
     code, out, _ = run_cli(capsys, "forms", "--g", "2")
     assert code == 0
     assert "16 forms, 10 with arf +1, 6 with arf -1" in out
+    code, out, _ = run_cli(capsys, "forms", "--g", "1", "--list")
+    assert (code, out) == (
+        0, "genus 1: 4 forms, 3 with arf +1, 1 with arf -1\n"
+        "00 arf 0\n10 arf 0\n01 arf 0\n11 arf 1\n",
+    )
     doc = run_json(capsys, "forms", "--g", "1", "--list")
     assert doc["total"] == 4
     assert doc["forms"] == [
@@ -114,6 +124,7 @@ def test_divisibility(capsys):
     assert doc["maximality"] == "lower_bound_only"
     doc = run_json(capsys, "divisibility", "--index", "4", "--spin")
     assert doc["spin_divisor"] == "32"
+    assert doc["formula"] == "2^5"
     assert doc["maximality"] == "proven_maximal"
     assert doc["bernoulli_index"] is None
 
@@ -464,20 +475,26 @@ def test_subcommand_loads_only_the_layers_it_uses(tmp_path, argv, needed, unused
 
 
 def test_closed_stdout_pipe_exits_quietly():
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        out = subprocess.run(
-            [sys.executable, "-m", "spincalc.cli", "einvariant", "--example", "1",
-             "--json"],
-            env=_src_env(),
-            stdout=write_end,
-            stderr=subprocess.PIPE,
-            text=True,
-        )
-    finally:
-        os.close(write_end)
-    assert (out.returncode, out.stderr) == (1, "")
+    # A buffered stdout meets the closed pipe only at the flush, which must
+    # be inside main's try; PYTHONUNBUFFERED would hide a missing flush.
+    buffered = {k: v for k, v in _src_env().items() if k != "PYTHONUNBUFFERED"}
+    for argv, env in (
+        (["einvariant", "--example", "1", "--json"], _src_env()),
+        (["bernoulli", "--k", "6"], buffered),
+    ):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            out = subprocess.run(
+                [sys.executable, "-m", "spincalc.cli", *argv],
+                env=env,
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert (out.returncode, out.stderr) == (1, ""), argv
 
 
 @pytest.fixture

@@ -103,6 +103,10 @@ def test_bernoulli_rejects_nonpositive_index():
         bernoulli_paper(0)
     with pytest.raises(DomainError):
         todd_coefficients(-1)
+    with pytest.raises(DomainError):
+        von_staudt_factorization(0)
+    with pytest.raises(DomainError):
+        von_staudt_den(0)
 
 
 def test_von_staudt_denominator_matches_exact_rationals():
@@ -210,6 +214,12 @@ def test_modz_arithmetic():
     assert (half - third).residue == Fraction(1, 6)
     assert (5 * third).residue == Fraction(2, 3)
     assert (third * 3).residue == 0
+    # only an integer multiple is defined on Q/Z
+    for product in (
+        lambda: third * Fraction(1, 2), lambda: third * 0.5, lambda: Fraction(1, 2) * third
+    ):
+        with pytest.raises(TypeError):
+            product()
 
 
 def test_modz_order():

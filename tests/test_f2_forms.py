@@ -4,6 +4,7 @@ import copy
 import json
 import pickle
 import random
+import types
 
 import pytest
 
@@ -79,11 +80,11 @@ def test_quadratic_form_validation():
         assert str(excinfo.value) == message
     # the standard Gram matrix normalizes to None
     q = QuadraticForm(2, 5, gram=standard_gram(2))
-    assert q.is_standard and q.gram is None
+    assert q.gram is None
     assert q == QuadraticForm(2, 5)
     # so does one given as a list, which then hashes like the tuple form
     q = QuadraticForm(1, 0, [2, 1])
-    assert q.is_standard and q == QuadraticForm(1, 0, (2, 1))
+    assert q.gram is None and q == QuadraticForm(1, 0, (2, 1))
     assert hash(q) == hash(QuadraticForm(1, 0))
     q = QuadraticForm(2, 0, [2, 1, 8, 4])
     assert q.gram == (2, 1, 8, 4) and hash(q) == hash(QuadraticForm(2, 0, q.gram))
@@ -186,8 +187,11 @@ def test_count_by_arf_closed_form():
     for g in range(6, 64):
         n_plus, n_minus = count_by_arf(g)
         assert count_by_arf(g + 1) == (3 * n_plus + n_minus, n_plus + 3 * n_minus)
-    with pytest.raises(DomainError):
-        count_by_arf(0)
+    for g in (0, -1):
+        with pytest.raises(DomainError):
+            count_by_arf(g)
+        with pytest.raises(DomainError):
+            enumerate_forms(g)
 
 
 def test_refinement_property_for_every_form():
@@ -216,9 +220,14 @@ def test_fast_pairing_matches_gram_rows():
 
 def test_pair_rejects_vectors_outside_the_space():
     for q in (QuadraticForm(1, 0), QuadraticForm(2, 0), QuadraticForm(2, 0, (2, 1, 8, 4))):
-        for x, y in ((1 << q.dim, 1), (1, 1 << q.dim), (-1, 1), (1, -1)):
+        outside = ((1 << q.dim, 1), (1 << q.dim, 0), (1, 1 << q.dim), (-1, 1), (1, -1))
+        for x, y in outside:
             with pytest.raises(DomainError, match="^vector must fit in 2g bits$"):
                 q.pair(x, y)
+        # and so does the form itself
+        for x in (1 << q.dim, -1):
+            with pytest.raises(DomainError, match="^vector must fit in 2g bits$"):
+                eval_form(q, x)
 
 
 def transformed_form(q, cols):
@@ -248,6 +257,9 @@ def test_random_symplectic_is_deterministic_per_seed():
     a = random_symplectic(3, random.Random(7))
     b = random_symplectic(3, random.Random(7))
     assert a == b
+    # and one seed's draws differ: the sampler does not stop at the identity
+    rng = random.Random(7)
+    assert len({random_symplectic(g, rng) for g in (2, 3) for _ in range(10)}) > 2
 
 
 def embed_first(g1, g2, x):
@@ -461,9 +473,20 @@ def outcome(basis_of, gram):
         return type(exc), str(exc)
 
 
+def reduce_by_loop(gram, basis_values):
+    """The loop reference's basis, and q's values on it by the expansion,
+    packed like basis_values, for q given by basis_values on the basis e_i."""
+    basis = loop_symplectic_basis(gram)
+    q = types.SimpleNamespace(
+        g=len(gram) // 2, dim=len(gram), gram=gram, basis_values=basis_values
+    )
+    return basis, sum(expanded_value(q, v) << i for i, v in enumerate(basis))
+
+
 def test_symplectic_basis_matches_the_loop_reference():
     # every alternating Gram with 2 and 4 rows, and seeded random ones with
-    # 6 to 16 rows; odd row counts are always degenerate
+    # 6 to 16 rows, each with seeded basis values; odd row counts are always
+    # degenerate
     rng = random.Random(8)
     grams = [
         alternating_gram(n, u) for n in (2, 4) for u in range(1 << (n * (n - 1) // 2))
@@ -475,9 +498,10 @@ def test_symplectic_basis_matches_the_loop_reference():
     ]
     degenerate = 0
     for gram in grams:
-        want = outcome(loop_symplectic_basis, gram)
-        assert outcome(lambda gram: f2_forms._reduce(gram, 0)[0], gram) == want
-        degenerate += isinstance(want, tuple)
+        bv = rng.getrandbits(len(gram))
+        want = outcome(lambda gram: reduce_by_loop(gram, bv), gram)
+        assert outcome(lambda gram: f2_forms._reduce(gram, bv), gram) == want
+        degenerate += want[0] is DegeneratePairingError
     assert 0 < degenerate < len(grams)
 
 
@@ -582,7 +606,7 @@ def test_normalize_preserves_the_form():
             bv = rng.randrange(1 << (2 * g))
             q = QuadraticForm(g, bv, gram=gram)
             std = normalize(q)
-            assert std.is_standard
+            assert std.gram is None
             basis = f2_forms._reduce(gram, 0)[0]
             for x in xs:
                 assert eval_form(std, x) == eval_form(q, apply_map(tuple(basis), x))
@@ -610,7 +634,8 @@ def test_serialization_round_trip():
             assert form_from_bitstring(g, doc["basis_values"]) == q
     assert form_from_bitstring(1, "11") == QuadraticForm(1, 3)
     assert form_from_bitstring(2, "0010") == QuadraticForm(2, 4)
-    with pytest.raises(InvalidFormError):
+    message = "^basis values must be a bitstring of length 2, got '111'$"
+    with pytest.raises(InvalidFormError, match=message):
         form_from_bitstring(1, "111")
     with pytest.raises(InvalidFormError):
         form_from_bitstring(1, "1x")

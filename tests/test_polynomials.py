@@ -1,5 +1,7 @@
 """Tests for the sparse integer polynomial ring and its 2c3 quotient."""
 
+from unittest import mock
+
 import pytest
 
 from spincalc.errors import DimensionMismatchError, DomainError
@@ -90,6 +92,8 @@ def test_equality_with_integers():
     assert IntPolynomial.constant(GENS, 5) == 5
     assert X != 1
     assert IntPolynomial.zero(GENS) == 0
+    # any other operand is left to compare itself, as mock.ANY does
+    assert X == mock.ANY and X != "x"
 
 
 def test_substitute():
@@ -98,6 +102,7 @@ def test_substitute():
     p = 2 * X**2 + 3 * (X * Y) + 1
     image = p.substitute(target, {"x": u, "y": -2 * u})
     assert image == 2 * u**2 - 6 * u**2 + 1
+    assert p.substitute(list(target), {"x": u, "y": -2 * u}) == image
     # generators that do not occur need no image
     q = X**2 + 1
     assert q.substitute(target, {"x": u}) == u**2 + 1
@@ -105,6 +110,9 @@ def test_substitute():
         p.substitute(target, {"x": u})
     with pytest.raises(DimensionMismatchError):
         p.substitute(target, {"x": X, "y": Y})
+    # every image is checked, also that of a generator that does not occur
+    with pytest.raises(DimensionMismatchError):
+        q.substitute(target, {"x": u, "y": Y})
 
 
 def test_substitute_accepts_integers():

@@ -153,6 +153,10 @@ def test_multiplicity_solver_guards():
         multiplicity_solve(3, -1, 0, (0,))
     with pytest.raises(DomainError):
         multiplicity_solve(3, 1, 0, ())
+    # the cap itself: one orbit of dimension + 1 choices, 2,000,000 of them at most
+    assert multiplicity_solve(1, 1_999_999, 1_999_999, (0,)) == (1_999_999,)
+    with pytest.raises(EnumerationCapError):
+        multiplicity_solve(1, 2_000_000, 2_000_000, (0,))
     with pytest.raises(EnumerationCapError):
         multiplicity_solve(50, 50, 0, tuple(range(50)))
     # the solver has one mode: conjugate multiplicities always pair up
@@ -620,6 +624,12 @@ def test_einvariant_document_error_paths():
     del doc["profiles"][0]["s_values"]
     with pytest.raises(DomainError):
         einvariant_document(doc)
+    # the fibers are checked before an exponent looks up its fiber's pair
+    doc = example_two_document()
+    doc["profiles"][2] = {"fiber": 4, "exponents": [0] * doc["N"]}
+    message = r"^profiles: fibers \[1, 2, 4\], not 1..3 once each$"
+    with pytest.raises(DomainError, match=message):
+        einvariant_document(doc)
 
 
 def _shift_kernel(m):
@@ -702,15 +712,12 @@ def test_multiplicity_solver_matches_the_definition_on_seeded_cases():
     outcomes = {"solved": 0, "ambiguous": 0, "none": 0, "cap": 0}
     for case in range(4000):
         m = rng.randint(1, 12)
-        real = rng.random() < 0.5
         if case % 2:
             dimension, trace, allowed = _planted_case(rng, m)
         else:
             dimension = rng.randint(0, 12)
             trace = rng.randint(-dimension, dimension)
             allowed = tuple(rng.sample(range(-m, 2 * m), rng.randint(1, m)))
-        if not real:  # the draws stay as they were; the solver has no other mode
-            continue
         exps, expected = _solve_oracle(m, dimension, trace, allowed)
         if expected is None:
             with pytest.raises(EnumerationCapError):
