@@ -11,8 +11,8 @@ All kernels assume the standard symplectic pairing on basis
 
 A form's table is looked up, not summed mask by mask: the planes (a_i, b_i)
 go in groups of three, each keeping one table per choice of its basis values.
-The fixed f2_forms.GENUS_CAP = 8 bounds the genus, so there are at most 144
-tables of 8 KiB, 1.25 MiB in all, built on first use.
+The fixed f2_forms.GENUS_CAP = 8 bounds the genus, so at most 144 tables of
+8 KiB, 1.25 MiB in all, are built on first use and kept; the masks are not.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 
-@lru_cache(maxsize=None)
 def _coordinate_masks(n: int) -> tuple[int, ...]:
     """C_0 .. C_{n-1} over the 2^n vectors: bit x of C_j is bit j of x."""
     masks: tuple[int, ...] = ()

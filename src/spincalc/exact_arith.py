@@ -154,8 +154,9 @@ class ModZ(namedtuple("ModZ", "residue")):
     __slots__ = ()
 
     def __new__(cls, residue: Fraction | int | str) -> "ModZ":
-        if not isinstance(residue, Fraction):
-            residue = Fraction(residue)
+        if isinstance(residue, (float, bool)):
+            raise TypeError(f"a residue is exact, not {type(residue).__name__}")
+        residue = Fraction(residue)
         if not 0 <= residue < 1:
             residue %= 1
         return tuple.__new__(cls, (residue,))
@@ -172,9 +173,6 @@ class ModZ(namedtuple("ModZ", "residue")):
 
     def __add__(self, other: "ModZ") -> "ModZ":
         return ModZ(self.residue + other.residue)
-
-    def __sub__(self, other: "ModZ") -> "ModZ":
-        return ModZ(self.residue - other.residue)
 
     def __mul__(self, n: int) -> "ModZ":
         if not isinstance(n, int):

@@ -18,7 +18,7 @@ enumeration here is authoritative).
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
+from functools import cache, cached_property
 
 from . import _kernels
 from .errors import (
@@ -31,11 +31,12 @@ from .errors import (
 
 # The largest genus that enumerate_forms lists and arf_gauss sweeps, a fixed
 # memory bound: one value table is 4^g bits (8 KiB at g = 8), and _kernels
-# keeps 2g coordinate masks and the group tables, 144 tables or at most
-# 1.25 MiB at g = 8.  The counts are closed forms.
+# keeps the group tables, 144 tables or at most 1.25 MiB at g = 8.  The
+# counts are closed forms.
 GENUS_CAP = 8
 
 
+@cache
 def _standard_gram(g: int) -> tuple[int, ...]:
     """Gram rows of the standard symplectic pairing in dimension 2g."""
     return tuple(1 << (i + g) % (2 * g) for i in range(2 * g))
@@ -121,23 +122,19 @@ class QuadraticForm(namedtuple("QuadraticForm", "g basis_values gram")):
     def dim(self) -> int:
         return 2 * self.g
 
-    def pair(self, x: int, y: int) -> int:
-        """The underlying symplectic pairing x.y."""
-        if not (0 <= x < 1 << self.dim and 0 <= y < 1 << self.dim):
-            raise DomainError("vector must fit in 2g bits")
-        return (apply_map(self.gram or _standard_gram(self.g), x) & y).bit_count() & 1
-
 
 def eval_form(q: QuadraticForm, x: int) -> int:
-    """q(x) via the quadratic expansion over the basis values."""
+    """q(x) = sum_i x_i q(e_i) + sum_{i<j} x_i x_j B_ij: the cross term is the
+    parity of x AND the XOR, over the set bits i of x, of row i above bit i."""
     if not 0 <= x < (1 << q.dim):
         raise DomainError("vector must fit in 2g bits")
-    linear = (x & q.basis_values).bit_count() & 1
     gram = q.gram or _standard_gram(q.g)
-    # The cross term sum_{i<j} x_i x_j B_ij is the parity of x AND the XOR of
-    # the strict upper triangle rows U_i at the set bits i of x.
-    upper = apply_map([row >> (i + 1) << (i + 1) for i, row in enumerate(gram)], x)
-    return linear ^ ((x & upper).bit_count() & 1)
+    upper, bits = 0, x
+    while bits:
+        low = bits & -bits
+        upper ^= gram[low.bit_length() - 1] & -(low << 1)
+        bits ^= low
+    return (x & q.basis_values).bit_count() + (x & upper).bit_count() & 1
 
 
 def _reduce(gram: tuple[int, ...], basis_values: int) -> tuple[list[int], int]:

@@ -15,12 +15,12 @@ class IntPolynomial:
 
     __slots__ = ("gens", "terms")
 
-    def __init__(self, gens: tuple[str, ...], terms: dict | None = None):
+    def __init__(self, gens: tuple[str, ...], terms: dict):
         self.gens = tuple(gens)
         if len(set(self.gens)) != len(self.gens):
             raise DomainError(f"generator names repeat in {self.gens}")
         clean: dict[tuple, int] = {}
-        for expo, coeff in (terms or {}).items():
+        for expo, coeff in terms.items():
             expo = tuple(expo)
             if len(expo) != len(self.gens):
                 raise DimensionMismatchError(
@@ -225,15 +225,3 @@ class QuotientedPolynomial(IntPolynomial):
     def poly(self) -> IntPolynomial:
         """The reduced representative, lifted to a plain IntPolynomial."""
         return IntPolynomial(QUOTIENT_GENS, self.terms)
-
-    @classmethod
-    def zero(cls) -> "QuotientedPolynomial":
-        return cls(IntPolynomial.zero(QUOTIENT_GENS))
-
-    @classmethod
-    def constant(cls, c: int) -> "QuotientedPolynomial":
-        return cls(IntPolynomial.constant(QUOTIENT_GENS, c))
-
-    @classmethod
-    def generator(cls, name: str) -> "QuotientedPolynomial":
-        return cls(IntPolynomial.generator(QUOTIENT_GENS, name))

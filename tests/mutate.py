@@ -8,7 +8,10 @@ statement of a function, if, loop, with or try body by `pass`; docstrings
 and existing `pass` statements are left alone.  Statement mutants always
 run after the operator mutants.  The mutated module is written into a copy
 of the repository, and the named test files run there with -x; a mutant is
-killed when they fail or time out, and survives when they pass.
+killed when they fail and survives when they pass.  A run that takes over
+three times as long as the unmutated module's run is stopped and reported as
+a timeout, apart from the kills: it may be a loop that cannot end, or a slow
+survivor.
 
 Run from the repository root, for example:
 
@@ -29,6 +32,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 _SWAPS = {
@@ -117,7 +121,7 @@ def mutant_source(source: str, k: int) -> tuple[int, str, str]:
     raise IndexError(k)
 
 
-def run_tests(workdir: Path, tests: list[str], timeout: float) -> str:
+def run_tests(workdir: Path, tests: list[str], timeout: float | None) -> str:
     # no bytecode, so a mutant of the same size and mtime never reuses a stale .pyc
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(workdir / "src"))
     try:
@@ -137,9 +141,6 @@ def main() -> int:
     parser.add_argument(
         "--workdir", required=True, help="new directory for the repository copy; must not exist"
     )
-    parser.add_argument(
-        "--timeout", type=float, default=40.0, help="seconds before a run counts as a kill"
-    )
     args = parser.parse_args()
 
     root = Path.cwd()
@@ -150,9 +151,13 @@ def main() -> int:
     target = workdir / args.module
 
     target.write_text(ast.unparse(ast.parse(source)), encoding="utf-8")
-    if run_tests(workdir, args.tests, args.timeout) != "survived":
+    start = time.perf_counter()
+    if run_tests(workdir, args.tests, None) != "survived":
         print("the unmutated module fails its tests; nothing to sweep", file=sys.stderr)
         return 1
+    took = time.perf_counter() - start
+    timeout = 3 * took
+    print(f"unmutated run {took:.1f} s; a mutant's run times out at {timeout:.1f} s")
     counts: dict[str, int] = {}
     k = 0
     while True:
@@ -161,7 +166,7 @@ def main() -> int:
         except IndexError:
             break
         target.write_text(mutated, encoding="utf-8")
-        result = run_tests(workdir, args.tests, args.timeout)
+        result = run_tests(workdir, args.tests, timeout)
         counts[result] = counts.get(result, 0) + 1
         print(f"{k:4d}  line {line:4d}  {label:22s} {result}", flush=True)
         k += 1

@@ -11,14 +11,13 @@ from __future__ import annotations
 import math
 import types
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 
 from spincalc import icosa_group
 from spincalc.cyclotomic import element
 from spincalc.errors import DegeneratePairingError, DomainError, WitnessSearchError
 from spincalc.exact_arith import DivisibilityBound, bernoulli_quotient, von_staudt_den
-from spincalc.f2_forms import QuadraticForm
 from spincalc.icosa_group import IDENTITY, P, enumerate_group, mul
 from spincalc.polynomials import QUOTIENT_GENS, IntPolynomial
 
@@ -61,7 +60,7 @@ def form_values_by_masks(g, basis_values):
 
 def is_symplectic(g: int, cols: tuple[int, ...]) -> bool:
     """Does the map preserve the standard pairing on all basis pairs."""
-    pair = QuadraticForm(g, 0).pair
+    pair = partial(gram_pair, standard_gram(g))
     n = 2 * g
     return all(
         pair(cols[i], cols[j]) == pair(1 << i, 1 << j)
@@ -75,7 +74,7 @@ def symplectic_group(g: int) -> tuple[tuple[int, ...], ...]:
     """All of Sp(2g, F2) as column tuples; only tractable for g <= 2."""
     if g > 2:
         raise WitnessSearchError("symplectic group enumeration is limited to g <= 2")
-    pair = QuadraticForm(g, 0).pair
+    pair = partial(gram_pair, standard_gram(g))
     n = 2 * g
     members = []
 

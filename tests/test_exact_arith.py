@@ -211,7 +211,7 @@ def test_modz_arithmetic():
     half = ModZ(Fraction(1, 2))
     third = ModZ(Fraction(1, 3))
     assert (half + third).residue == Fraction(5, 6)
-    assert (half - third).residue == Fraction(1, 6)
+    assert (half + -1 * third).residue == Fraction(1, 6)
     assert (5 * third).residue == Fraction(2, 3)
     assert (third * 3).residue == 0
     # only an integer multiple is defined on Q/Z
@@ -220,6 +220,10 @@ def test_modz_arithmetic():
     ):
         with pytest.raises(TypeError):
             product()
+    # and a residue is exact: no float, and a bool is not an int here
+    for inexact in (0.1, True, float("nan")):
+        with pytest.raises(TypeError):
+            ModZ(inexact)
 
 
 def test_modz_order():

@@ -198,8 +198,8 @@ def test_refinement_property_for_every_form():
     # q(x + y) = q(x) + q(y) + x.y, checked on full tables
     for g in (1, 2, 3):
         size = 1 << (2 * g)
-        pairing = QuadraticForm(g, 0).pair
-        pair_table = [[pairing(x, y) for y in range(size)] for x in range(size)]
+        gram = standard_gram(g)
+        pair_table = [[gram_pair(gram, x, y) for y in range(size)] for x in range(size)]
         for bv in range(size):
             table = _kernels.form_values(g, bv)
             v = [(table >> x) & 1 for x in range(size)]
@@ -211,20 +211,14 @@ def test_refinement_property_for_every_form():
 def test_fast_pairing_matches_gram_rows():
     # the bit-twiddled standard pairing agrees with the row-by-row one
     for g in (1, 2):
-        q_std = QuadraticForm(g, 0)
         gram = standard_gram(g)
         for x in range(1 << (2 * g)):
             for y in range(1 << (2 * g)):
-                assert q_std.pair(x, y) == gram_pair(gram, x, y)
+                assert f2_forms._standard_pair(g, x, y) == gram_pair(gram, x, y)
 
 
-def test_pair_rejects_vectors_outside_the_space():
+def test_eval_form_rejects_vectors_outside_the_space():
     for q in (QuadraticForm(1, 0), QuadraticForm(2, 0), QuadraticForm(2, 0, (2, 1, 8, 4))):
-        outside = ((1 << q.dim, 1), (1 << q.dim, 0), (1, 1 << q.dim), (-1, 1), (1, -1))
-        for x, y in outside:
-            with pytest.raises(DomainError, match="^vector must fit in 2g bits$"):
-                q.pair(x, y)
-        # and so does the form itself
         for x in (1 << q.dim, -1):
             with pytest.raises(DomainError, match="^vector must fit in 2g bits$"):
                 eval_form(q, x)
@@ -299,7 +293,7 @@ def test_direct_sum_embeds_both_summands():
                         for y in range(1 << (2 * g2)):
                             ex = embed_first(g1, g2, x)
                             ey = embed_second(g1, g2, y)
-                            assert q.pair(ex, ey) == 0
+                            assert gram_pair(standard_gram(q.g), ex, ey) == 0
                             assert eval_form(q, ex ^ ey) == eval_form(
                                 q1, x
                             ) ^ eval_form(q2, y)
@@ -433,10 +427,10 @@ def random_invertible(g, rng):
 
 def conjugated_gram(g, cols):
     """Gram rows of the standard pairing written in the basis cols."""
-    probe = QuadraticForm(g, 0)
+    gram = standard_gram(g)
     n = 2 * g
     return tuple(
-        sum(probe.pair(cols[i], cols[j]) << j for j in range(n)) for i in range(n)
+        sum(gram_pair(gram, cols[i], cols[j]) << j for j in range(n)) for i in range(n)
     )
 
 
@@ -538,14 +532,23 @@ def test_normalize_matches_the_loop_reference():
 
 
 def test_eval_form_matches_the_expansion_on_gram_forms():
-    # at g = 1 the only nondegenerate pairing is the standard one
+    # at g = 1 the only nondegenerate pairing is the standard one; every
+    # vector up to g = 3, then 0, all ones, each single bit and seeded
+    # vectors up to the cap, on standard forms and on Gram forms
     rng = random.Random(3)
-    for g in (1, 2, 3):
+    for g in range(1, 9):
+        n = 2 * g
+        if g <= 3:
+            vectors = range(1 << n)
+        else:
+            vectors = [0, (1 << n) - 1, *(1 << j for j in range(n))]
+            vectors += [rng.getrandbits(n) for _ in range(64)]
         for _ in range(10):
             gram = conjugated_gram(g, random_invertible(g, rng))
-            q = QuadraticForm(g, rng.randrange(1 << (2 * g)), gram=gram)
-            for x in range(1 << (2 * g)):
-                assert eval_form(q, x) == expanded_value(q, x)
+            bv = rng.randrange(1 << n)
+            for q in (QuadraticForm(g, bv), QuadraticForm(g, bv, gram=gram)):
+                for x in vectors:
+                    assert eval_form(q, x) == expanded_value(q, x), (g, q, x)
 
 
 def test_symplectic_basis_rejects_degenerate_pairings():

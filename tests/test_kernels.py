@@ -30,7 +30,7 @@ def test_parity_table():
 
 
 def test_parity_table_is_read_only():
-    # the cache hands the same masks to every caller
+    # masks come back as a tuple, like the per-genus cached tables built from them
     with pytest.raises(TypeError):
         _kernels._coordinate_masks(4)[0] = 1
 

@@ -18,6 +18,7 @@ import re
 import subprocess
 import sys
 import typing
+from functools import cached_property
 
 import spincalc
 
@@ -189,6 +190,58 @@ def test_every_public_function_is_reached_by_a_user():
         if inspect.isfunction(getattr(spincalc, name))
         and name not in reached
         and f"{layer}.{name}" not in reached
+    ]
+    assert unreached == []
+
+
+def _members_read(source: str) -> set[str]:
+    """The attributes that Python source reads, each as "name" and, read off
+    a bare name, as "Owner.name"; an imported module's attributes are left
+    out, so perfbench's oracles.pair reads no method called pair."""
+    tree = ast.parse(source)
+    modules = {
+        alias.asname or alias.name.partition(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and not node.module
+        for alias in node.names
+    }
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) not in modules:
+            read.add(node.attr)
+            if isinstance(node.value, ast.Name):
+                read.add(f"{node.value.id}.{node.attr}")
+    return read
+
+
+def test_every_public_member_is_reached_by_a_user():
+    # The same rule for the named methods, properties and classmethods of
+    # each public class, where a use anywhere in src/ counts too.  A member
+    # is reached by a read of an attribute of its name or by the README; an
+    # override only where its own class is named, so IntPolynomial.zero
+    # reaches no subclass's zero.  Operators are dunders, which no read names.
+    root = pathlib.Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    read = {
+        word
+        for owner, name in re.findall(r"`(\w+\.|\.)?(\w+)[`(]", readme)
+        for word in (name, owner + name)
+    }
+    read |= _members_read("\n".join(re.findall(r"^>>> (.*)$", readme, re.M)))
+    sources = sorted((root / "src" / "spincalc").glob("*.py"))
+    sources += [root / "tests" / "test_acceptance.py", *sorted((root / "perfbench").rglob("*.py"))]
+    for path in sources:
+        read |= _members_read(path.read_text(encoding="utf-8"))
+    kinds = (property, cached_property, classmethod, staticmethod)
+    unreached = [
+        f"{name}.{member}"
+        for name in spincalc._HOME
+        if inspect.isclass(cls := getattr(spincalc, name))
+        for member, value in vars(cls).items()
+        if not member.startswith("_")
+        and (inspect.isfunction(value) or isinstance(value, kinds))
+        and f"{name}.{member}" not in read
+        and (member not in read or any(member in vars(base) for base in cls.__mro__[1:]))
     ]
     assert unreached == []
 

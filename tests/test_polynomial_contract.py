@@ -23,8 +23,8 @@ from reference import (
 
 GENS = ("x", "y")
 X = IntPolynomial.generator(GENS, "x")
-C2 = QuotientedPolynomial.generator("c2")
-C3 = QuotientedPolynomial.generator("c3")
+C2 = QuotientedPolynomial(IntPolynomial.generator(QUOTIENT_GENS, "c2"))
+C3 = QuotientedPolynomial(IntPolynomial.generator(QUOTIENT_GENS, "c3"))
 
 
 def _random_lift(rng: random.Random) -> IntPolynomial:
@@ -94,10 +94,10 @@ def test_the_two_rings_never_mix():
 
 
 def test_integers_coerce_into_the_quotient():
-    assert C2 + 1 == QuotientedPolynomial.constant(1) + C2
+    assert C2 + 1 == QuotientedPolynomial(IntPolynomial.constant(QUOTIENT_GENS, 1)) + C2
     assert type(C3 + 1) is QuotientedPolynomial
     assert (C3 + 1).render() == "c3 + 1"
-    assert QuotientedPolynomial.constant(2) == 2
+    assert QuotientedPolynomial(IntPolynomial.constant(QUOTIENT_GENS, 2)) == 2
     assert 2 * C3 == 0
 
 
