@@ -11,25 +11,20 @@ from __future__ import annotations
 from collections import namedtuple
 from math import comb
 
-from .errors import DomainError
+from .errors import DomainError, _integer
 from .polynomials import QUOTIENT_GENS, IntPolynomial, QuotientedPolynomial
 
 SPHERE_GENS = ("p1",)
 PROJ_GENS = ("c1", "c2")
 HP_GENS = ("u",)
 TORUS_GENS = ("u",)
-
-
-def _check_index(n: int) -> None:
-    if n < 0:
-        raise DomainError("class index must be nonnegative")
+_BAD_INDEX = "class index must be nonnegative"
 
 
 def sphere_kappa(n: int) -> IntPolynomial:
     """kappa_n of the universal sphere bundle: 2 * p1^k at n = 2k; odd
     indices vanish."""
-    _check_index(n)
-    if n % 2 == 1:
+    if _integer(n, 0, _BAD_INDEX) % 2 == 1:
         return IntPolynomial.zero(SPHERE_GENS)
     return 2 * IntPolynomial.generator(SPHERE_GENS, "p1") ** (n // 2)
 
@@ -37,8 +32,7 @@ def sphere_kappa(n: int) -> IntPolynomial:
 def proj_bundle_kappa(n: int) -> IntPolynomial:
     """kappa_n of a projectivized 2-plane bundle: 2 * (c1^2 - 4 c2)^k at n = 2k,
     expanded by the binomial theorem as 2 sum_j C(k, j) (-4)^j c1^{2(k-j)} c2^j."""
-    _check_index(n)
-    if n % 2 == 1:
+    if _integer(n, 0, _BAD_INDEX) % 2 == 1:
         return IntPolynomial.zero(PROJ_GENS)
     k = n // 2
     terms = {(2 * (k - j), j): 2 * comb(k, j) * (-4) ** j for j in range(k + 1)}
@@ -51,8 +45,7 @@ def hp_infinity_kappa(n: int) -> IntPolynomial:
     At n = 2k the value is (-1)^k 2^{2k+1} u^k with u the degree-4
     generator; odd indices vanish.
     """
-    _check_index(n)
-    if n % 2 == 1:
+    if _integer(n, 0, _BAD_INDEX) % 2 == 1:
         return IntPolynomial.zero(HP_GENS)
     k = n // 2
     u = IntPolynomial.generator(HP_GENS, "u")
@@ -65,13 +58,13 @@ def torus_kappa(n: int) -> IntPolynomial:
     All of them vanish; kappa_0 in particular is the fiber Euler
     characteristic, which is 0 for the torus.
     """
-    _check_index(n)
+    _integer(n, 0, _BAD_INDEX)
     return IntPolynomial.zero(TORUS_GENS)
 
 
 def torus_lambda(n: int) -> IntPolynomial:
     """lambda_n of the universal torus bundle: (-1)^n (1 - 2^n) u^n."""
-    _check_index(n)
+    _integer(n, 0, _BAD_INDEX)
     u = IntPolynomial.generator(TORUS_GENS, "u")
     return ((-1) ** n * (1 - 2**n)) * u**n
 
@@ -88,7 +81,7 @@ def sphere_lambda(n: int) -> QuotientedPolynomial:
     lambda_0 is the rank of the index bundle, 2, not the power sum s_0 = 3;
     at n = 0 the j = 0 term alone gives it.
     """
-    _check_index(n)
+    _integer(n, 0, _BAD_INDEX)
     terms = {(n // 2, 0): (-1) ** (n // 2) * 2} if n % 2 == 0 else {}
     for j in range(2 - n % 2, n // 3 + 1, 2):  # 2i = n - 3j is even
         i = (n - 3 * j) // 2
@@ -136,9 +129,8 @@ def _kernel_rows(g: int, m: int) -> dict[str, int]:
 
 def riemann_roch_dim(g: int, m: int) -> RiemannRochDim:
     """dim ker dbar_{Lambda^m} on a genus-g surface, by the closed table."""
-    if g < 0:
-        raise DomainError("genus must be nonnegative")
-    rows = _kernel_rows(g, m)
+    _integer(g, 0, "genus must be nonnegative")
+    rows = _kernel_rows(g, _integer(m))
     values = set(rows.values())
     if not rows:
         raise DomainError(f"no row covers genus {g}, power {m}")
@@ -149,7 +141,7 @@ def riemann_roch_dim(g: int, m: int) -> RiemannRochDim:
 
 def cokernel_dim(g: int, m: int) -> int:
     """dim coker dbar_{Lambda^m} = dim ker dbar_{Lambda^{1-m}} (Serre duality)."""
-    return riemann_roch_dim(g, 1 - m).dimension
+    return riemann_roch_dim(g, 1 - _integer(m)).dimension
 
 
 def serre_duality_check(g: int, m: int) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import _integer
 
 
 def _divmod(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list[int]]:
@@ -29,13 +29,11 @@ def _divmod(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list[int]]
     return quot, num[:dd]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed, so True is not a hit for 1
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients of Phi_m, lowest degree first: x^m - 1 divided in turn by
     Phi_d for every proper divisor d of m."""
-    if m < 1:
-        raise DomainError("m must be positive")
-    poly = [-1] + [0] * (m - 1) + [1]
+    poly = [-1] + [0] * (_integer(m, 1, "m must be positive") - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
             poly = _divmod(poly, cyclotomic_polynomial(d))[0]

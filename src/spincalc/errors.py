@@ -1,7 +1,9 @@
-"""Shared exception types.
+"""Shared exception types, and the integer rule of every public entry point.
 
 Every domain error raised by the library derives from SpincalcError, so the
-CLI can map the whole family to exit code 1.
+CLI can map the whole family to exit code 1.  `_integer` is the one place
+that decides what an integer argument is: an `int`, never a bool, a float or
+a string.
 """
 
 from __future__ import annotations
@@ -55,3 +57,15 @@ class TorsionBoundError(SpincalcError):
 
 class DomainError(SpincalcError):
     """An argument is outside the mathematical domain of the operation."""
+
+
+def _integer(value, lo=None, message="", error=DomainError, field="") -> int:
+    """value, if type(value) is int: a bool, float or string raises TypeError,
+    or error led by field when a document names the field.  Below lo it raises
+    error(message), with {} in message standing for value."""
+    if type(value) is not int:
+        kind = error if field else TypeError
+        raise kind(f"{field}expected an integer, got {value!r}")
+    if lo is not None and value < lo:
+        raise error(message.format(value))
+    return value

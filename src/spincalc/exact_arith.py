@@ -11,7 +11,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, _integer
 
 
 def todd_coefficients(max_degree: int) -> list[Fraction]:
@@ -22,8 +22,7 @@ def todd_coefficients(max_degree: int) -> list[Fraction]:
     Coefficient list is indexed by degree.  Beyond degree 1 every odd
     coefficient vanishes and the even ones alternate in sign.
     """
-    if max_degree < 0:
-        raise DomainError("max_degree must be nonnegative")
+    _integer(max_degree, 0, "max_degree must be nonnegative")
     a = [Fraction((-1) ** k, math.factorial(k + 1)) for k in range(max_degree + 1)]
     t = [Fraction(1)]
     for n in range(1, max_degree + 1):
@@ -37,9 +36,7 @@ def bernoulli_paper(k: int) -> Fraction:
     td(z) = 1 + z/2 + sum_{k >= 1} (-1)^{k+1} B_k / (2k)! * z^{2k}, hence
     B_k = (-1)^{k+1} (2k)! times the degree-2k Todd coefficient.
     """
-    if k < 1:
-        raise DomainError("k must be a positive integer")
-    t = todd_coefficients(2 * k)
+    t = todd_coefficients(2 * _integer(k, 1, "k must be a positive integer"))
     value = (-1) ** (k + 1) * math.factorial(2 * k) * t[2 * k]
     return value
 
@@ -70,9 +67,7 @@ def von_staudt_factorization(k: int) -> dict[int, int]:
     A prime p divides the denominator exactly when (p - 1) divides 2k, and
     then it appears with exponent 1 + nu_p(2k).
     """
-    if k < 1:
-        raise DomainError("k must be a positive integer")
-    n = 2 * k
+    n = 2 * _integer(k, 1, "k must be a positive integer")
     factors: dict[int, int] = {}
     d = 1
     while d * d <= n:
@@ -104,9 +99,7 @@ def divisor_oriented(n: int) -> int:
     Even n: the divisor is 2.  Odd n = 2i - 1: the divisor is den(B_i / 2i),
     so the first few odd values are 12, 120, 252.
     """
-    if n < 1:
-        raise DomainError("index must be a positive integer")
-    if n % 2 == 0:
+    if _integer(n, 1, "index must be a positive integer") % 2 == 0:
         return 2
     i = (n + 1) // 2
     return von_staudt_den(i)
@@ -129,9 +122,9 @@ class DivisibilityBound(
     def __new__(
         cls, index: int, oriented_divisor: int, spin_divisor: int, spin_maximality: str
     ) -> "DivisibilityBound":
-        if spin_divisor % oriented_divisor != 0:
+        if _integer(spin_divisor) % _integer(oriented_divisor) != 0:
             raise DomainError("spin divisor must refine the oriented divisor")
-        fields = (index, oriented_divisor, spin_divisor, spin_maximality)
+        fields = (_integer(index), oriented_divisor, spin_divisor, spin_maximality)
         return tuple.__new__(cls, fields)
 
 
@@ -175,7 +168,7 @@ class ModZ(namedtuple("ModZ", "residue")):
         return ModZ(self.residue + other.residue)
 
     def __mul__(self, n: int) -> "ModZ":
-        if not isinstance(n, int):
+        if type(n) is not int:
             return NotImplemented
         return ModZ(n * self.residue)
 

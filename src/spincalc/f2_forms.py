@@ -27,6 +27,7 @@ from .errors import (
     DomainError,
     EnumerationCapError,
     InvalidFormError,
+    _integer,
 )
 
 # The largest genus that enumerate_forms lists and arf_gauss sweeps, a fixed
@@ -53,19 +54,19 @@ class ArfValue(namedtuple("ArfValue", "additive multiplicative")):
     __slots__ = ()
 
     def __new__(cls, additive: int, multiplicative: int) -> "ArfValue":
-        if additive not in (0, 1):
+        if _integer(additive) not in (0, 1):
             raise DomainError("additive Arf invariant must be 0 or 1")
-        if multiplicative != (-1) ** additive:
+        if _integer(multiplicative) != (-1) ** additive:
             raise DomainError("multiplicative Arf invariant must be (-1)^additive")
         return tuple.__new__(cls, (additive, multiplicative))
 
     @classmethod
     def from_additive(cls, a: int) -> "ArfValue":
-        return _ARF[a & 1]
+        return _ARF[_integer(a) & 1]
 
     @classmethod
     def from_multiplicative(cls, m: int) -> "ArfValue":
-        if m not in (1, -1):
+        if _integer(m) not in (1, -1):
             raise DomainError("multiplicative Arf invariant must be +1 or -1")
         return _ARF[0 if m == 1 else 1]
 
@@ -86,16 +87,15 @@ class QuadraticForm(namedtuple("QuadraticForm", "g basis_values gram")):
     def __new__(
         cls, g: int, basis_values: int, gram: tuple[int, ...] | None = None
     ) -> "QuadraticForm":
-        if g < 1:
-            raise InvalidFormError("genus must be at least 1")
-        if not 0 <= basis_values < (1 << (2 * g)):
+        _integer(g, 1, "genus must be at least 1", InvalidFormError)
+        if not 0 <= _integer(basis_values) < (1 << (2 * g)):
             raise InvalidFormError("basis values must fit in 2g bits")
         if gram is not None:
             gram = tuple(gram)
             n = 2 * g
             if len(gram) != n:
                 raise InvalidFormError("Gram matrix must have 2g rows")
-            if any(not 0 <= row < (1 << n) for row in gram):
+            if any(not 0 <= _integer(row) < (1 << n) for row in gram):
                 raise InvalidFormError("Gram rows must fit in 2g bits")
             if any((gram[i] >> i) & 1 for i in range(n)):
                 raise InvalidFormError("pairing must be alternating")
@@ -126,7 +126,7 @@ class QuadraticForm(namedtuple("QuadraticForm", "g basis_values gram")):
 def eval_form(q: QuadraticForm, x: int) -> int:
     """q(x) = sum_i x_i q(e_i) + sum_{i<j} x_i x_j B_ij: the cross term is the
     parity of x AND the XOR, over the set bits i of x, of row i above bit i."""
-    if not 0 <= x < (1 << q.dim):
+    if not 0 <= _integer(x) < (1 << q.dim):
         raise DomainError("vector must fit in 2g bits")
     gram = q.gram or _standard_gram(q.g)
     upper, bits = 0, x
@@ -201,10 +201,12 @@ def arf_basis(q: QuadraticForm) -> ArfValue:
 def arf_gauss(q: QuadraticForm) -> ArfValue:
     """Arf invariant as the sign of the Gauss sum sum_x (-1)^{q(x)}.
 
-    The sum is computed by exhaustive enumeration of the 4^g-bit value
-    table, so it stays an independent check on arf_basis and keeps the genus
-    cap.  It must come out as +-2^g; anything else means the input was not a
-    quadratic refinement.
+    The sum enumerates the 4^g-bit value table of the symplectic values that
+    arf_basis reads too, so it checks arf_basis's closed form
+    sum_i q(a_i) q(b_i), not the reduction that gave those values on a Gram
+    form (the tests check _reduce against loop_symplectic_basis).  It keeps
+    the genus cap.  Every packed value mask is a refinement, so the sum is
+    +-2^g unless the value tables are at fault.
     """
     _check_cap(q.g)
     total = (1 << 2 * q.g) - 2 * _kernels.form_values(q.g, _values(q)).bit_count()
@@ -228,17 +230,14 @@ def _check_cap(g: int) -> None:
 
 def enumerate_forms(g: int) -> list[QuadraticForm]:
     """All 4^g standard-pairing forms of genus g, ordered by basis values."""
-    if g < 1:
-        raise DomainError("genus must be at least 1")
-    _check_cap(g)
+    _check_cap(_integer(g, 1, "genus must be at least 1"))
     return [QuadraticForm(g, bv) for bv in range(1 << (2 * g))]
 
 
 def count_by_arf(g: int) -> tuple[int, int]:
     """(forms with arf +1, forms with arf -1) among all 4^g forms of genus g:
     2^{g-1} (2^g + 1) and 2^{g-1} (2^g - 1), at every genus."""
-    if g < 1:
-        raise DomainError("genus must be at least 1")
+    _integer(g, 1, "genus must be at least 1")
     return ((1 << g) + 1) << (g - 1), ((1 << g) - 1) << (g - 1)
 
 
@@ -329,7 +328,7 @@ def random_symplectic(g: int, rng) -> tuple[int, ...]:
     Each transvection T_v(x) = x + (x.v) v, v drawn by rng (a random.Random),
     preserves the pairing, so any product does.
     """
-    n = 2 * g
+    n = 2 * _integer(g)
     cols = [1 << i for i in range(n)]
     for _ in range(3 * n):
         v = rng.randrange(1, 1 << n)

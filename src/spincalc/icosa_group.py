@@ -12,7 +12,7 @@ import itertools
 from collections import namedtuple
 from functools import lru_cache
 
-from .errors import DomainError, WitnessSearchError
+from .errors import DomainError, WitnessSearchError, _integer
 
 P = 5
 # (2, 3, P) generates PSL(2, P), as the image of the modular group.
@@ -138,7 +138,7 @@ class RestrictionProfile(
 def regular_restriction_profile(m: int) -> RestrictionProfile:
     """Closed form, m in BRANCH_ORDERS: the doubled pullback character is |G|
     on the center and 0 elsewhere, so each eigenvalue exponent has |G|/m copies."""
-    if m not in BRANCH_ORDERS:
+    if _integer(m) not in BRANCH_ORDERS:
         raise DomainError(f"cyclic restriction order must be 2, 3, or {P}")
     copies = len(enumerate_group()) // m
     return RestrictionProfile(m, copies, {j: copies for j in range(m)})

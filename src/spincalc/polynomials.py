@@ -7,7 +7,7 @@ ring Z[c2, c3] / (2 c3) of the odd Newton classes overrides to reduce mod 2 c3.
 
 from __future__ import annotations
 
-from .errors import DimensionMismatchError, DomainError
+from .errors import DimensionMismatchError, DomainError, _integer
 
 
 class IntPolynomial:
@@ -26,10 +26,10 @@ class IntPolynomial:
                 raise DimensionMismatchError(
                     f"exponent tuple {expo} does not match generators {self.gens}"
                 )
-            # an exponent is a nonnegative int; a bool is not one
+            # errors._integer's rule, inline per term: an int, never a bool
             if not all(type(e) is int and e >= 0 for e in expo):
                 raise DomainError(f"exponents {expo} are not nonnegative integers")
-            if not isinstance(coeff, int):
+            if type(coeff) is not int:
                 raise DomainError(f"coefficient {coeff!r} is not an integer")
             if coeff != 0:
                 clean[expo] = clean.get(expo, 0) + coeff
@@ -68,7 +68,7 @@ class IntPolynomial:
             )
 
     def __add__(self, other: "IntPolynomial | int") -> "IntPolynomial":
-        if isinstance(other, int):
+        if type(other) is int:
             other = self._like({(0,) * len(self.gens): other})
         elif not isinstance(other, IntPolynomial):
             return NotImplemented
@@ -84,13 +84,15 @@ class IntPolynomial:
         return self._like({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "IntPolynomial":
+        if type(other) is not int and not isinstance(other, IntPolynomial):
+            return NotImplemented  # -True would pass as the int -1
         return self + (-other)
 
     def __rsub__(self, other) -> "IntPolynomial":
         return (-self).__add__(other)
 
     def __mul__(self, other) -> "IntPolynomial":
-        if isinstance(other, int):
+        if type(other) is int:
             return self._like({e: other * c for e, c in self.terms.items()})
         if not isinstance(other, IntPolynomial):
             return NotImplemented
@@ -105,8 +107,7 @@ class IntPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "IntPolynomial":
-        if n < 0:
-            raise DomainError("negative powers are not allowed")
+        _integer(n, 0, "negative powers are not allowed")
         result = self._like({(0,) * len(self.gens): 1})
         for bit in bin(n)[2:]:  # by squaring, from the high bit down
             result = result * result
@@ -115,7 +116,7 @@ class IntPolynomial:
         return result
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
+        if type(other) is int:
             other = self._like({(0,) * len(self.gens): other})
         if not isinstance(other, IntPolynomial):
             return NotImplemented

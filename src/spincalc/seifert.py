@@ -33,6 +33,7 @@ from .errors import (
     InvalidSeifertDataError,
     MultiplicityError,
     TorsionBoundError,
+    _integer,
 )
 from .exact_arith import ModZ
 
@@ -44,9 +45,8 @@ class SeifertData(namedtuple("SeifertData", "pairs")):
 
     def __new__(cls, pairs: tuple[tuple[int, int], ...]) -> "SeifertData":
         for a, b in pairs:
-            if a < 1:
-                raise InvalidSeifertDataError(f"fiber order {a} must be positive")
-            if math.gcd(a, b) != 1:
+            _integer(a, 1, "fiber order {} must be positive", InvalidSeifertDataError)
+            if math.gcd(a, _integer(b)) != 1:
                 raise InvalidSeifertDataError(f"pair ({a}, {b}) is not coprime")
         return tuple.__new__(cls, (pairs,))
 
@@ -85,9 +85,7 @@ class FixedPointData(namedtuple("FixedPointData", "genus counts")):
 
 
 def lefschetz_trace(fixed_points: int) -> int:
-    if fixed_points < 0:
-        raise DomainError("fixed point count must be nonnegative")
-    return 2 - fixed_points
+    return 2 - _integer(fixed_points, 0, "fixed point count must be nonnegative")
 
 
 class EigenvalueProfile(namedtuple("EigenvalueProfile", "fiber s_values")):
@@ -112,8 +110,9 @@ class RepSpec(namedtuple("RepSpec", "dimension scalar_exponent profiles")):
         scalar_exponent: int | None,
         profiles: tuple[EigenvalueProfile, ...],
     ) -> "RepSpec":
-        if dimension < 1:
-            raise DomainError("dimension must be positive")
+        _integer(dimension, 1, "dimension must be positive")
+        if scalar_exponent is not None:
+            _integer(scalar_exponent)
         for p in profiles:
             if len(p.s_values) != dimension:
                 raise DomainError(
@@ -179,12 +178,10 @@ def multiplicity_solve(
     allowed exponents; raises MultiplicityError carrying the full solution
     list when there is no solution or more than one.
     """
-    m, dimension, trace = _json_int(m), _json_int(dimension), _json_int(trace)
-    if m < 1:
-        raise DomainError("root-of-unity order must be positive")
-    if dimension < 0:
-        raise DomainError("dimension must be nonnegative")
-    exps = tuple(sorted(set(_json_int(e) % m for e in allowed)))
+    _integer(m, 1, "root-of-unity order must be positive")
+    _integer(dimension, 0, "dimension must be nonnegative")
+    _integer(trace)
+    exps = tuple(sorted(set(_integer(e) % m for e in allowed)))
     if not exps:
         raise DomainError("allowed exponent set is empty")
     orbits = sorted({tuple(sorted({e, -e % m})) for e in exps if -e % m in exps})
@@ -291,7 +288,7 @@ def icosahedral_example(k: int) -> IcosahedralResult:
     multiplicities convert to s-parameters (normalized into [0, a_j)), and
     the applicable e-formula is evaluated exactly.
     """
-    if k not in _EXAMPLES:
+    if _integer(k) not in _EXAMPLES:
         raise DomainError("worked examples are numbered 1, 2, 3")
     ex = _EXAMPLES[k]
     d = POINCARE
@@ -328,8 +325,7 @@ def regular_increment() -> ModZ:
 
 def stabilization(n: int) -> tuple[ModZ, ModZ, ModZ]:
     """(e(example 3), the regular increment, stabilized_e(n)), each built once."""
-    if n < 0:
-        raise DomainError("stabilization count must be nonnegative")
+    _integer(n, 0, "stabilization count must be nonnegative")
     base, increment = icosahedral_example(3).value, regular_increment()
     return base, increment, base + n * increment
 
@@ -348,13 +344,6 @@ def order_in_pi3(value: ModZ) -> int:
     return value.order()
 
 
-def _json_int(value, error=TypeError, field: str = "") -> int:
-    """A JSON integer, so no float, bool or string; else error, led by field."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise error(f"{field}expected an integer, got {value!r}")
-    return value
-
-
 def _field(doc, key: str, kind: type, error=DomainError, where: str = ""):
     """doc[key], checked first: doc is a JSON object with key of kind; else error."""
     name = f"{where}.{key}" if where else key
@@ -363,7 +352,7 @@ def _field(doc, key: str, kind: type, error=DomainError, where: str = ""):
     if key not in doc:
         raise error(f"{name}: missing")
     if kind is int:
-        return _json_int(doc[key], error, f"{name}: ")
+        return _integer(doc[key], error=error, field=f"{name}: ")
     if not isinstance(doc[key], kind):
         raise error(f"{name}: expected a JSON list, got {doc[key]!r}")
     return doc[key]
@@ -377,7 +366,7 @@ _RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 def _parse_rational(value, field: str) -> Fraction:
     """An s-value: a JSON integer, or a string p or p/q of digits, q nonzero."""
     if not isinstance(value, str):
-        return Fraction(_json_int(value, DomainError, field))
+        return Fraction(_integer(value, field=field))
     if not _RATIONAL.fullmatch(value):
         raise DomainError(f"{field}bad rational {value!r}, not p or p/q, q nonzero")
     limit = getattr(sys, "get_int_max_str_digits", int)()  # none before 3.10.7
@@ -391,8 +380,7 @@ def seifert_data_from_document(doc: dict) -> SeifertData:
     for pair in _field(doc, "pairs", list, error):
         if not isinstance(pair, list) or len(pair) != 2:
             raise error(f"pairs: {pair!r} is not [a, b]")
-        a, b = pair
-        pairs.append((_json_int(a, error, "pairs: "), _json_int(b, error, "pairs: ")))
+        pairs.append(tuple(_integer(v, error=error, field="pairs: ") for v in pair))
     return SeifertData(tuple(pairs))
 
 
@@ -417,9 +405,7 @@ def repspec_from_document(doc: dict) -> tuple[SeifertData, RepSpec]:
     s may be non-integral, an eigenvalue outside the integral-lift convention.
     """
     d = seifert_data_from_document(doc)
-    big_n = _field(doc, "N", int)
-    if big_n < 1:
-        raise DomainError(f"N: must be positive, got {big_n}")
+    big_n = _integer(_field(doc, "N", int), 1, "N: must be positive, got {}")
     center = _field(doc, "center", object)
     raw_profiles = _field(doc, "profiles", list)
     if center == "trivial":
@@ -441,8 +427,8 @@ def repspec_from_document(doc: dict) -> tuple[SeifertData, RepSpec]:
             s_values = [_parse_rational(v, name) for v in values]
         else:
             a, b = d.pairs[j - 1]
-            s_values = [Fraction(_json_int(t, DomainError, name) % (big_n * a) + b * r_h,
-                                 big_n) for t in values]
+            s_values = [Fraction(_integer(t, field=name) % (big_n * a) + b * r_h, big_n)
+                        for t in values]
         profiles.append(EigenvalueProfile(j, tuple(s_values)))
     return d, RepSpec(big_n, scalar_exponent, tuple(sorted(profiles)))
 

@@ -216,7 +216,8 @@ def test_modz_arithmetic():
     assert (third * 3).residue == 0
     # only an integer multiple is defined on Q/Z
     for product in (
-        lambda: third * Fraction(1, 2), lambda: third * 0.5, lambda: Fraction(1, 2) * third
+        lambda: third * Fraction(1, 2), lambda: third * 0.5, lambda: Fraction(1, 2) * third,
+        lambda: third * True,
     ):
         with pytest.raises(TypeError):
             product()

@@ -1,6 +1,8 @@
 """Tests for the package namespace: names are re-exported lazily, a layer
 is imported only when one of its names is first looked up, every
-annotation resolves, and the README's library examples print what it shows.
+annotation resolves, every public name is reached by a user, every integer
+argument refuses a bool and a float, and the README's library examples print
+what it shows.
 
 Each import check runs in a fresh interpreter, so that no other test has
 imported a layer before it.
@@ -8,17 +10,22 @@ imported a layer before it.
 
 import ast
 import doctest
+import functools
 import importlib
 import inspect
+import itertools
 import json
 import os
 import pathlib
 import pkgutil
+import random
 import re
 import subprocess
 import sys
 import typing
 from functools import cached_property
+
+import pytest
 
 import spincalc
 
@@ -244,6 +251,107 @@ def test_every_public_member_is_reached_by_a_user():
         and (member not in read or any(member in vars(base) for base in cls.__mro__[1:]))
     ]
     assert unreached == []
+
+
+def _integer_positions() -> dict:
+    """Each public callable that takes an integer, with arguments it accepts
+    and the positions that hold an integer.  A position is an argument index,
+    or a path of indices into nested tuples: a Gram row, a Seifert pair's
+    entry, an allowed exponent."""
+    at_1, at_2, at_3_1 = ((1,), [0]), ((2,), [0]), ((3, 1), [0, 1])
+    return {
+        "ArfValue": ((0, 1), [0, 1]),
+        "ArfValue.from_additive": at_1,
+        "ArfValue.from_multiplicative": ((-1,), [0]),
+        "DivisibilityBound": ((1, 12, 48, "lower_bound_only"), [0, 1, 2]),
+        "ModZ": at_1,
+        "QuadraticForm": ((1, 1, (2, 1)), [0, 1, (2, 0), (2, 1)]),
+        "RepSpec": ((1, 0, ()), [0, 1]),
+        "SeifertData": ((((2, -1), (3, 1)),), [(0, 0, 0), (0, 0, 1), (0, 1, 1)]),
+        "bernoulli_paper": at_1,
+        "bernoulli_quotient": at_1,
+        "cokernel_dim": at_3_1,
+        "count_by_arf": at_1,
+        "divisor_oriented": at_1,
+        "divisor_spin": at_1,
+        "enumerate_forms": at_1,
+        "eval_form": ((spincalc.QuadraticForm(1, 0), 1), [1]),
+        "hp_infinity_kappa": at_2,
+        "icosahedral_example": ((3,), [0]),
+        "lambda_kappa_difference": at_2,
+        "multiplicity_solve": ((4, 28, 0, (1, 3)), [0, 1, 2, (3, 0)]),
+        "proj_bundle_kappa": at_2,
+        "random_symplectic": ((1, random.Random(0)), [0]),
+        "riemann_roch_dim": at_3_1,
+        "serre_duality_check": at_3_1,
+        "sphere_kappa": at_2,
+        "sphere_lambda": at_2,
+        "stabilized_e": at_1,
+        "todd_coefficients": at_1,
+        "torus_kappa": at_2,
+        "torus_lambda": at_2,
+        "von_staudt_den": at_1,
+        "von_staudt_factorization": at_1,
+    }
+
+
+# Public names that take no integer argument.  IntPolynomial's integers sit in
+# its term dict, which tests/test_polynomial_contract.py checks term by term.
+_NO_INTEGER = {
+    "CentralBehaviorError", "DegeneratePairingError", "DimensionMismatchError",
+    "DomainError", "EnumerationCapError", "InvalidFormError",
+    "InvalidSeifertDataError", "MultiplicityError", "SpincalcError",
+    "TorsionBoundError", "WitnessSearchError", "IntPolynomial",
+    "QuotientedPolynomial", "arf_basis", "arf_gauss", "count_zeros", "direct_sum",
+    "e_general", "e_simple", "einvariant_document", "forms_isomorphic",
+    "is_integral_homology_sphere", "normalize", "order_in_pi3",
+    "regular_increment", "seifert_check_document",
+}
+# Records that keep what they are given and check nothing (README "Library").
+_UNCHECKED_RECORDS = {
+    "EigenvalueProfile", "FixedPointData", "IcosahedralResult", "RiemannRochDim",
+}
+
+
+def _put(args: tuple, path, value) -> tuple:
+    """args with value at path, an index or a tuple of indices into nested tuples."""
+    head, *rest = path if isinstance(path, tuple) else (path,)
+    item = _put(args[head], tuple(rest), value) if rest else value
+    return args[:head] + (item,) + args[head + 1 :]
+
+
+def test_every_integer_argument_refuses_a_bool_and_a_float():
+    # The integer rule of errors._integer, at every public entry point.  A
+    # new public name must take a place in the table or in one of the lists.
+    table = _integer_positions()
+    listed = {name.partition(".")[0] for name in table}
+    assert sorted(set(spincalc._HOME) - listed - _NO_INTEGER - _UNCHECKED_RECORDS) == []
+    wrong = []
+    for name, (args, positions) in table.items():
+        call = functools.reduce(getattr, name.split("."), spincalc)
+        call(*args)
+        for path, bad in itertools.product(positions, (True, 2.0)):
+            try:
+                call(*_put(args, path, bad))
+            except TypeError:
+                continue
+            except spincalc.SpincalcError as exc:  # refused, but not as a type
+                wrong.append(f"{name} at {path} with {bad!r}: {type(exc).__name__}")
+            else:
+                wrong.append(f"{name} at {path} with {bad!r}: accepted")
+    assert not wrong, "\n".join(wrong)
+    # the operators leave a bool to the other operand, which refuses it
+    x = spincalc.IntPolynomial.generator(("x",), "x")
+    third = spincalc.ModZ("1/3")
+    for bad in (True, 2.0):
+        for operation in (
+            lambda: third * bad, lambda: bad * third, lambda: x + bad,
+            lambda: bad + x, lambda: x - bad, lambda: bad - x, lambda: x * bad,
+            lambda: bad * x, lambda: x**bad,
+        ):
+            with pytest.raises(TypeError):
+                operation()
+    assert spincalc.IntPolynomial.constant(("x",), 1).__eq__(True) is NotImplemented
 
 
 def test_readme_library_examples():

@@ -105,6 +105,10 @@ def test_exponents_must_be_nonnegative_ints():
     for bad in (1.5, True, False, "1", -1):
         with pytest.raises(DomainError):
             IntPolynomial(GENS, {(bad, 0): 1})
+    # and a coefficient is an int: a bool is not stored as 1
+    for bad in (True, 1.5):
+        with pytest.raises(DomainError):
+            IntPolynomial(("x",), {(1,): bad})
 
 
 def test_generator_names_must_not_repeat():

@@ -136,6 +136,9 @@ def test_multiplicity_solver_reports_ambiguity():
     with pytest.raises(MultiplicityError) as info:
         multiplicity_solve(6, 10, 0, (0, 2, 3, 4))
     assert set(info.value.solutions) == {(5, 0, 5, 0), (4, 2, 2, 2)}
+    # the message alone is the error's text, with solutions given by position too
+    error = MultiplicityError("2 multiplicity solutions", ((1,), (2,)))
+    assert str(error) == "2 multiplicity solutions" and error.solutions == ((1,), (2,))
 
 
 def test_multiplicity_solver_no_solution():
