@@ -46,6 +46,8 @@ def element(m: int, multiplicities: dict[int, int]) -> tuple[int, ...]:
     phi = cyclotomic_polynomial(m)
     coeffs = [0] * m
     for e, mu in multiplicities.items():
+        if type(mu) is not int:  # errors._integer's rule, inline per term
+            raise TypeError(f"expected an integer multiplicity, got {mu!r}")
         coeffs[e % m] += mu
     return tuple(_divmod(coeffs, phi)[1])
 

@@ -42,8 +42,8 @@ def inv(x: Element) -> Element:
 
 def power(x: Element, k: int) -> Element:
     """x^k for k >= 0, by repeated squaring."""
-    out = IDENTITY
-    base = x
+    _integer(k, 0, "exponent {} must be nonnegative")
+    out, base = IDENTITY, x
     while k:
         if k & 1:
             out = mul(out, base)

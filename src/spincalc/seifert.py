@@ -244,23 +244,18 @@ _EXAMPLES = {
 }
 
 
-def _fiber_eigenvalue_structure(
-    pair: tuple[int, int], big_n: int, r_h: int
-) -> tuple[int, tuple[int, ...], list[int]]:
-    """Eigenvalue exponents of one holonomy, reduced to the minimal root order.
-
-    The holonomy x_j satisfies x_j^{a_j} = h^{-b_j}, so its eigenvalues are
-    zeta_{N a_j}^{t_s} with t_s = N s - b_j r_h for s = 0..a_j-1.  Returns
-    (m, sorted allowed exponents, exponent of each s) with every t reduced
-    by the common content so the eigenvalues are m-th roots of unity.
+def _fiber_multiplicities(pair, big_n: int, r_h: int, trace: int) -> dict[int, int]:
+    """Multiplicity of each s in 0..a-1 at a fiber (a, b) with a prime, by
+    Chevalley-Weil: an element of prime order a and trace t on C^N has
+    eigenvalue 1 (N + (a - 1) t) / a times and each other a-th root of unity
+    (N - t) / a times.  r_h is 0 or N/2; a center acting by -1 gives x the
+    eigenvalue zeta_{2a}^{2s - b} at s: for odd a, (-1)^b x has order a,
+    trace (-1)^b t and eigenvalue 1 where 2s = b mod a; for a = 2, x^2 = -1
+    forces t = 0, and +-i take N/2 each.
     """
     a, b = pair
-    modulus = big_n * a
-    t_list = [(big_n * s - b * r_h) % modulus for s in range(a)]
-    content = math.gcd(modulus, *t_list)
-    m = modulus // content
-    exp_of_s = [t // content for t in t_list]
-    return m, tuple(sorted(exp_of_s)), exp_of_s
+    t, one = ((-1) ** (b % 2) * trace, b * (a + 1) // 2 % a) if r_h else (trace, 0)
+    return {s: (big_n + (a - 1) * t if s == one else big_n - t) // a for s in range(a)}
 
 
 def _profile(fiber: int, multiplicities: dict[int, int]) -> EigenvalueProfile:
@@ -284,9 +279,10 @@ def icosahedral_example(k: int) -> IcosahedralResult:
     data: genus and fixed-point counts of the three exceptional holonomies,
     plus the central behavior.
 
-    The traces 2 - F determine the eigenvalue multiplicities uniquely; the
-    multiplicities convert to s-parameters (normalized into [0, a_j)), and
-    the applicable e-formula is evaluated exactly.
+    Each fiber order is prime, so the trace 2 - F of its holonomy gives the
+    eigenvalue multiplicities in closed form (Chevalley-Weil), with no
+    search; they convert to s-parameters (normalized into [0, a_j)), and the
+    applicable e-formula is evaluated exactly.
     """
     if _integer(k) not in _EXAMPLES:
         raise DomainError("worked examples are numbered 1, 2, 3")
@@ -296,11 +292,9 @@ def icosahedral_example(k: int) -> IcosahedralResult:
     r_h = ex.scalar_exponent or 0
     fp = FixedPointData(ex.genus, ex.fixed_points)
     profiles = []
-    for j, ((a, b), f_count) in enumerate(zip(d.pairs, ex.fixed_points), start=1):
-        m, allowed, exp_of_s = _fiber_eigenvalue_structure((a, b), big_n, r_h)
-        mus = multiplicity_solve(m, big_n, lefschetz_trace(f_count), allowed)
-        mu_by_exp = dict(zip(allowed, mus))
-        profiles.append(_profile(j, {s: mu_by_exp[exp_of_s[s]] for s in range(a)}))
+    for j, (pair, f_count) in enumerate(zip(d.pairs, ex.fixed_points), start=1):
+        mus = _fiber_multiplicities(pair, big_n, r_h, lefschetz_trace(f_count))
+        profiles.append(_profile(j, mus))
     rep = RepSpec(big_n, ex.scalar_exponent, tuple(profiles))
     kind, value = _evaluate(d, rep)
     if kind == "e":

@@ -20,6 +20,7 @@ from spincalc.errors import DegeneratePairingError, DomainError, WitnessSearchEr
 from spincalc.exact_arith import DivisibilityBound, bernoulli_quotient, von_staudt_den
 from spincalc.icosa_group import IDENTITY, P, enumerate_group, mul
 from spincalc.polynomials import QUOTIENT_GENS, IntPolynomial
+from spincalc.seifert import multiplicity_solve
 
 # ------------------------------------------------------------------ f2_forms
 
@@ -424,3 +425,21 @@ def e_general_by_power_sums(d, spec) -> Fraction:
         (w * (2 * n * s2 - 2 * s1 * s1) for w, s1, s2 in _fiber_sums(d, spec)),
         Fraction(0),
     )
+
+
+def fiber_multiplicities_by_solve(pair, big_n, r_h, trace) -> dict[int, int]:
+    """The multiplicity of each s in 0..a-1 at a fiber (a, b), by search.
+
+    The holonomy x satisfies x^a = h^{-b}, so its eigenvalues are
+    zeta_{N a}^{t_s} with t_s = N s - b r_h for s = 0..a-1.  Reduced by
+    their common content they are m-th roots of unity, and
+    multiplicity_solve finds their multiplicities from the trace in Z[zeta_m].
+    """
+    a, b = pair
+    modulus = big_n * a
+    t_list = [(big_n * s - b * r_h) % modulus for s in range(a)]
+    content = math.gcd(modulus, *t_list)
+    exp_of_s = [t // content for t in t_list]
+    mus = multiplicity_solve(modulus // content, big_n, trace, exp_of_s)
+    mu_by_exp = dict(zip(sorted(exp_of_s), mus))
+    return {s: mu_by_exp[e] for s, e in enumerate(exp_of_s)}

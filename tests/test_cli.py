@@ -462,6 +462,11 @@ GROUP_UNUSED = {"seifert", "cyclotomic", "exact_arith", "f2_forms", "char_classe
         (["bernoulli", "--k", "6", "--json"], "exact_arith", {"seifert", "f2_forms"}),
         (["forms", "--g", "3", "--json"], "f2_forms", F2_UNUSED),
         (["icosa", "--census", "--json"], "icosa_group", GROUP_UNUSED),
+        # the worked examples read their multiplicities off a closed form
+        (["einvariant", "--example", "1"], "seifert", {"cyclotomic", "icosa_group"}),
+        (["einvariant", "--example", "3", "--json"], "seifert",
+         {"cyclotomic", "icosa_group"}),
+        (["stabilize", "--n", "1"], "icosa_group", {"cyclotomic"}),
     ],
 )
 def test_subcommand_loads_only_the_layers_it_uses(tmp_path, argv, needed, unused):

@@ -55,6 +55,10 @@ def test_element_assembly():
     assert element(6, {}) == (0, 0)
     assert element(6, {0: 7}) == (7, 0)
     assert element(5, {0: -2}) == (-2, 0, 0, 0)
+    # a multiplicity is an int, never a float or a bool
+    for bad in ({0: 2.5, 1: True}, {0: 2.5, 1: 1}, {0: 2, 1: True}):
+        with pytest.raises(TypeError, match="expected an integer multiplicity"):
+            element(5, bad)
 
 
 def test_elements_distinguish_multisets():

@@ -123,6 +123,11 @@ def test_presentation_triple_relations():
     assert power(t.x3, 5) == h
     assert mul(mul(t.x1, t.x2), t.x3) == IDENTITY
     assert power(h, 2) == IDENTITY
+    # k >>= 1 never takes a negative k to 0, and True is not the int 1
+    with pytest.raises(DomainError, match="exponent -1 must be nonnegative"):
+        power(t.x1, -1)
+    with pytest.raises(TypeError, match="expected an integer, got True"):
+        power(t.x1, True)
     for x in (t.x1, t.x2, t.x3):
         assert mul(h, x) == mul(x, h)
     assert element_order(t.x1) == 4

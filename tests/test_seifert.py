@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from spincalc import seifert
 from spincalc.cyclotomic import cyclotomic_polynomial, element
 from spincalc.errors import (
     CentralBehaviorError,
@@ -40,7 +41,11 @@ from spincalc.seifert import (
     stabilized_e,
 )
 
-from reference import e_general_by_power_sums, e_simple_by_power_sums
+from reference import (
+    e_general_by_power_sums,
+    e_simple_by_power_sums,
+    fiber_multiplicities_by_solve,
+)
 
 
 def test_seifert_data_validation():
@@ -62,6 +67,8 @@ def test_rep_spec_validation():
         RepSpec(3, None, (profile,))
     assert str(excinfo.value) == "profile for fiber 1 has 2 eigenvalues, expected 3"
     assert RepSpec(2, 0, (profile,)).trivial_center
+    with pytest.raises(TypeError, match="expected an integer, got True"):
+        RepSpec(2, True, (profile,))
 
 
 def test_poincare_is_a_homology_sphere():
@@ -120,7 +127,7 @@ def test_multiplicity_solver_exponents_must_be_integers(bad):
     "args", [(5.0, 4, 1), (5, 4.0, 1), (5, 4, 1.5), (True, 4, 1), (5, 4, True), (5, "4", 1)]
 )
 def test_multiplicity_solver_order_dimension_and_trace_must_be_integers(args):
-    with pytest.raises(TypeError, match="expected an integer"):
+    with pytest.raises(TypeError, match="expected an integer, got"):
         multiplicity_solve(*args, (0, 1, 2, 3, 4))
 
 
@@ -165,6 +172,33 @@ def test_multiplicity_solver_guards():
     # the solver has one mode: conjugate multiplicities always pair up
     with pytest.raises(TypeError):
         multiplicity_solve(6, 28, 2, (1, 3, 5), real=True)
+
+
+def test_closed_form_multiplicities_match_the_solver():
+    closed, solved = seifert._fiber_multiplicities, fiber_multiplicities_by_solve
+    # the nine fibers of the worked examples
+    for ex in seifert._EXAMPLES.values():
+        big_n, r_h = 2 * ex.genus, ex.scalar_exponent or 0
+        for pair, f_count in zip(POINCARE.pairs, ex.fixed_points):
+            args = (pair, big_n, r_h, lefschetz_trace(f_count))
+            assert closed(*args) == solved(*args), args
+    # seeded fibers of prime order, either center, any trace; the solver
+    # refuses the traces that no multiplicities give
+    rng = random.Random(32)
+    answered = {}
+    while sum(answered.values()) < 200:
+        a = rng.choice((2, 3, 5, 7))
+        b = rng.choice([b for b in range(-2 * a, 2 * a) if math.gcd(a, b) == 1])
+        big_n = 2 * rng.randint(1, 15)
+        r_h = rng.choice((0, big_n // 2))
+        args = ((a, b), big_n, r_h, rng.randint(-big_n, big_n))
+        try:
+            expected = solved(*args)
+        except MultiplicityError:
+            continue
+        assert closed(*args) == expected, args
+        answered[a, bool(r_h)] = answered.get((a, bool(r_h)), 0) + 1
+    assert len(answered) == 8, answered
 
 
 def profile_multiset(profile):
@@ -509,6 +543,10 @@ def test_seifert_check_document():
     }
     with pytest.raises(InvalidSeifertDataError):
         seifert_check_document({})
+    with pytest.raises(InvalidSeifertDataError, match=r"^document: list, not a JSON"):
+        seifert_check_document([])
+    with pytest.raises(InvalidSeifertDataError, match=r"^pairs: \[2, -1, 0\] is not"):
+        seifert_check_document({"pairs": [[2, -1, 0]]})
 
 
 def example_two_document():
@@ -539,6 +577,13 @@ def test_einvariant_document_with_s_values():
     assert out["order"] == 2
     assert out["N"] == 18
     assert out["center"] == "trivial"
+    # JSON integers are s-values too
+    doc = example_two_document()
+    doc["profiles"][0]["s_values"] = [0] * 8 + [1] * 10
+    assert einvariant_document(doc) == out
+    # a value outside Z/24 has no order in pi_3
+    doc["profiles"][2]["s_values"][0] = "1/7"
+    assert einvariant_document(doc)["order"] is None
 
 
 def test_einvariant_document_with_exponents():
@@ -627,6 +672,14 @@ def test_einvariant_document_error_paths():
     del doc["profiles"][0]["s_values"]
     with pytest.raises(DomainError):
         einvariant_document(doc)
+    for key, value, message in (
+        ("N", True, "N: expected an integer, got True"),
+        ("profiles", 5, "profiles: expected a JSON list, got 5"),
+    ):
+        doc = example_two_document()
+        doc[key] = value
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            einvariant_document(doc)
     # the fibers are checked before an exponent looks up its fiber's pair
     doc = example_two_document()
     doc["profiles"][2] = {"fiber": 4, "exponents": [0] * doc["N"]}
