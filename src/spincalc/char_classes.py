@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import comb
 
-from .errors import DomainError, _integer
+from .errors import _integer
 from .polynomials import QUOTIENT_GENS, IntPolynomial, QuotientedPolynomial
 
 SPHERE_GENS = ("p1",)
@@ -105,38 +105,20 @@ class RiemannRochDim(namedtuple("RiemannRochDim", "genus power dimension")):
     __slots__ = ()
 
 
-def _kernel_rows(g: int, m: int) -> dict[str, int]:
-    """All closed-form rows applicable at (g, m); they must agree."""
-    rows: dict[str, int] = {}
-    if m == 0:
-        rows["m=0"] = 1
-    if m == 1:
-        rows["m=1"] = g
-    if g == 0 and m <= 0:
-        # h^0 of O(-2m) on the projective line; m = -1 is the 3-dimensional
-        # space of holomorphic vector fields
-        rows["g=0,m<=0"] = 1 - 2 * m
-    if g == 0 and m > 0:
-        rows["g=0,m>0"] = 0
-    if g == 1:
-        rows["g=1"] = 1
-    if g >= 2 and m < 0:
-        rows["g>=2,m<0"] = 0
-    if g >= 2 and m >= 2:
-        rows["g>=2,m>=2"] = (2 * m - 1) * (g - 1)
-    return rows
-
-
 def riemann_roch_dim(g: int, m: int) -> RiemannRochDim:
-    """dim ker dbar_{Lambda^m} on a genus-g surface, by the closed table."""
+    """dim ker dbar_{Lambda^m} on a genus-g surface: h^0 of K^m.
+
+    K^m is trivial at m = 0 and on the torus, and h^0(K) = g.  Otherwise K^m
+    or K^(1-m) has negative degree and no sections, so the kernel is the
+    index (2m - 1)(g - 1) where that is positive and 0 where it is not."""
     _integer(g, 0, "genus must be nonnegative")
-    rows = _kernel_rows(g, _integer(m))
-    values = set(rows.values())
-    if not rows:
-        raise DomainError(f"no row covers genus {g}, power {m}")
-    if len(values) > 1:
-        raise DomainError(f"inconsistent rows at genus {g}, power {m}: {rows}")
-    return RiemannRochDim(g, m, values.pop())
+    if _integer(m) == 0 or g == 1:
+        dim = 1
+    elif m == 1:
+        dim = g
+    else:
+        dim = max(0, (2 * m - 1) * (g - 1))
+    return RiemannRochDim(g, m, dim)
 
 
 def cokernel_dim(g: int, m: int) -> int:

@@ -16,6 +16,8 @@ class IntPolynomial:
     __slots__ = ("gens", "terms")
 
     def __init__(self, gens: tuple[str, ...], terms: dict):
+        if isinstance(gens, str):
+            raise DomainError(f"generators {gens!r} are a string, not a tuple of names")
         self.gens = tuple(gens)
         if len(set(self.gens)) != len(self.gens):
             raise DomainError(f"generator names repeat in {self.gens}")
@@ -128,20 +130,22 @@ class IntPolynomial:
     ) -> "IntPolynomial":
         """Evaluate by sending each generator to a polynomial over target_gens.
 
-        Every generator that actually occurs must be mapped; values may be
-        plain integers.
+        Every generator that actually occurs must be mapped; an image is an
+        IntPolynomial or an int, and anything else raises TypeError.
         """
-        target_gens = tuple(target_gens)
+        result = IntPolynomial.zero(target_gens)  # refuses a string of names
+        target_gens = result.gens
         images: dict[str, IntPolynomial] = {}
         for name, value in mapping.items():
-            if isinstance(value, int):
+            if type(value) is int:
                 value = IntPolynomial.constant(target_gens, value)
+            elif not isinstance(value, IntPolynomial):
+                raise TypeError(f"image of {name!r} is {value!r}, not a polynomial")
             if value.gens != target_gens:
                 raise DimensionMismatchError(
                     f"image of {name!r} lives over {value.gens}, not {target_gens}"
                 )
             images[name] = value
-        result = IntPolynomial.zero(target_gens)
         for expo, coeff in self.terms.items():
             term = IntPolynomial.constant(target_gens, coeff)
             for g, e in zip(self.gens, expo):
@@ -206,6 +210,8 @@ class QuotientedPolynomial(IntPolynomial):
     __slots__ = ()
 
     def __init__(self, poly: IntPolynomial):
+        if not isinstance(poly, IntPolynomial):
+            raise TypeError(f"expected an IntPolynomial, got {poly!r}")
         if poly.gens != QUOTIENT_GENS:
             raise DimensionMismatchError(
                 f"quotient ring generators are {QUOTIENT_GENS}, got {poly.gens}"

@@ -333,6 +333,22 @@ def check_odd_symplectic_identity(s_poly, kappa_poly, k: int) -> bool:
     return c.denominator * s_poly == c.numerator * kappa_poly
 
 
+def riemann_roch_by_degree(g: int, m: int) -> int:
+    """h^0(K^m) on a genus-g surface, read off the degree d = m(2g - 2) of K^m:
+    1 for the trivial bundle, g for K itself, 0 below degree 0, and by
+    Riemann-Roch d - g + 1 above degree 2g - 2, where h^1 = h^0(K^(1-m)) = 0."""
+    d = m * (2 * g - 2)
+    if m == 0 or g == 1:
+        return 1
+    if m == 1:
+        return g
+    if d < 0:
+        return 0
+    if d > 2 * g - 2:
+        return d - g + 1
+    raise DomainError(f"no degree case covers genus {g}, power {m}")
+
+
 # ------------------------------------------------------------- polynomials
 # Z[c2, c3] / (2 c3) by its definition: plain IntPolynomial arithmetic over
 # QUOTIENT_GENS, reduced mod 2 c3 after every operation.

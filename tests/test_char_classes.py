@@ -1,4 +1,4 @@
-"""Tests for the closed-form characteristic classes and the dimension table."""
+"""Tests for the closed-form characteristic classes and the Riemann-Roch dimensions."""
 
 from fractions import Fraction
 from itertools import product
@@ -28,6 +28,7 @@ from reference import (
     girard_waring_lambda,
     odd_symplectic_constant,
     repeated_products,
+    riemann_roch_by_degree,
 )
 
 
@@ -187,7 +188,7 @@ def test_riemann_roch_spot_values():
     assert riemann_roch_dim(1, -7).dimension == 1
     assert riemann_roch_dim(2, -5).dimension == 0
     assert riemann_roch_dim(10, 10).dimension == 19 * 9
-    # the m <= 0 row on the sphere is the section count of O(-2m), which
+    # on the sphere at m <= 0 the dimension is the section count of O(-2m), which
     # the index identity forces; at m = -2 that is 5
     assert riemann_roch_dim(0, -2).dimension == 5
 
@@ -198,11 +199,11 @@ def test_riemann_roch_rejects_negative_genus():
 
 
 def test_riemann_roch_index_identity_on_the_box():
-    # also the overlap check: every (g, m) here is covered by agreeing rows
-    for g in range(0, 11):
-        for m in range(-10, 11):
+    for g in range(0, 41):
+        for m in range(-40, 41):
             assert serre_duality_check(g, m)
             ker = riemann_roch_dim(g, m).dimension
+            assert ker == riemann_roch_by_degree(g, m)
             coker = cokernel_dim(g, m)
             assert ker >= 0 and coker >= 0
             assert ker - coker == (2 * m - 1) * (g - 1)

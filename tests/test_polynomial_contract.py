@@ -116,6 +116,11 @@ def test_generator_names_must_not_repeat():
         IntPolynomial.generator(("x", "x"), "x")
     with pytest.raises(DomainError):
         IntPolynomial(("x", "x"), {})
+    # a string is not a tuple of names: "c2" would be the generators c and 2
+    with pytest.raises(DomainError):
+        IntPolynomial("c2", {(1, 0): 3})
+    with pytest.raises(DomainError):
+        X.substitute("uv", {"x": 1})
 
 
 @pytest.mark.parametrize(

@@ -23,8 +23,9 @@ def test_constructor_cleans_terms():
     assert p.terms == {(1, 0): 2}
     assert IntPolynomial(GENS, {}).is_zero
     # duplicate exponent keys cannot occur in a dict, but coefficients
-    # cancel through arithmetic
+    # cancel through arithmetic, and keys that are equal as tuples cancel
     assert (X - X).is_zero
+    assert IntPolynomial(("x",), {(1,): 1, range(1, 2): -1}).is_zero
 
 
 def test_constructor_validation():
@@ -45,6 +46,7 @@ def test_ring_arithmetic():
     assert -(X - Y) == Y - X
     assert 0 * X == IntPolynomial.zero(GENS)
     assert X * 3 == 3 * X
+    assert 3 * (X + X) == X * 6
     with pytest.raises(DomainError):
         X ** (-1)
 
@@ -79,6 +81,8 @@ def test_integers_add_and_subtract_on_the_left():
     assert type(1 - C3) is type(2 + C2) is QuotientedPolynomial
     with pytest.raises(TypeError):
         1.5 - X
+    with pytest.raises(TypeError):
+        X - True
     with pytest.raises(TypeError):
         1.5 + C3
 
@@ -116,6 +120,10 @@ def test_substitute():
     # every image is checked, also that of a generator that does not occur
     with pytest.raises(DimensionMismatchError):
         q.substitute(target, {"x": u, "y": Y})
+    # an image is an int or a polynomial: a bool is not the int 1
+    for bad in (2.0, "3", None, True):
+        with pytest.raises(TypeError):
+            q.substitute(target, {"x": bad})
 
 
 def test_substitute_accepts_integers():
@@ -171,6 +179,9 @@ def test_quotient_arithmetic_and_wrapping():
     assert (C2 + C3) - (C2 - C3) == QUOTIENT_ZERO
     with pytest.raises(DimensionMismatchError):
         QuotientedPolynomial(X)
+    for bad in (5, "c2"):
+        with pytest.raises(TypeError):
+            QuotientedPolynomial(bad)
 
 
 def test_quotient_constant():
