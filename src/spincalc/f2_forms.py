@@ -250,49 +250,6 @@ def direct_sum(q1: QuadraticForm, q2: QuadraticForm) -> QuadraticForm:
     return QuadraticForm(g, lo | hi << g)
 
 
-def apply_map(cols: tuple[int, ...], x: int) -> int:
-    """Image of x under the linear map whose i-th column is cols[i]."""
-    out = 0
-    i = 0
-    while x:
-        if x & 1:
-            out ^= cols[i]
-        x >>= 1
-        i += 1
-    return out
-
-
-def _normal_basis(g: int, values: int) -> list[int]:
-    """Columns of a symplectic M that puts the standard form q of genus g with
-    these basis values in Arf's normal form: q(M x) has every basis value 0,
-    except q(a_1) = q(b_1) = 1 when the Arf invariant is 1.
-
-    Each hyperbolic plane (a_i, b_i) is fixed by its values: (1, 0) takes
-    a_i + b_i, (0, 1) takes b_i + a_i, and two (1, 1) planes i and j become
-    (a_i + a_j, a_i + a_j + b_i) and (a_j + b_i + b_j, b_i + b_j).  A (1, 1)
-    plane left over swaps into plane 1.
-    """
-    a = [1 << i for i in range(g)]
-    b = [1 << (g + i) for i in range(g)]
-    odd = None  # a (1, 1) plane still waiting for a partner
-    for j in range(g):
-        qa, qb = (values >> j) & 1, (values >> (g + j)) & 1
-        if qa and not qb:
-            a[j] ^= b[j]
-        elif qb and not qa:
-            b[j] ^= a[j]
-        elif qa and odd is None:
-            odd = j
-        elif qa:
-            i, odd = odd, None
-            a[i], b[i], a[j], b[j] = (
-                a[i] ^ a[j], a[i] ^ a[j] ^ b[i], a[j] ^ b[i] ^ b[j], b[i] ^ b[j]
-            )
-    if odd is not None:
-        a[0], a[odd], b[0], b[odd] = a[odd], a[0], b[odd], b[0]
-    return a + b
-
-
 def forms_isomorphic(
     q1: QuadraticForm, q2: QuadraticForm, witness: bool = False
 ):
@@ -301,8 +258,10 @@ def forms_isomorphic(
     Two refinements of pairings of equal dimension are equivalent exactly
     when their Arf invariants agree.  The witness T is symplectic with
     p2(T x) = p1(x) for every x, where p1 = normalize(q1) and
-    p2 = normalize(q2).  It is built at every genus from Arf's normal form:
-    with M_p from _normal_basis, T = M_{p2} M_{p1}^{-1}.
+    p2 = normalize(q2).  Both refine the standard pairing, so they differ by
+    a linear form: p1(x) = p2(x) + x.w, and Arf(p1) = Arf(p2) + p2(w).  With
+    equal invariants p2(w) = 0, and the transvection T x = x + (x.w) w gives
+    p2(T x) = p2(x) + (x.w)(p2(w) + 1) = p1(x), at every genus.
     """
     if q1.g != q2.g:
         raise DimensionMismatchError("forms live in different dimensions")
@@ -313,13 +272,10 @@ def forms_isomorphic(
         return answer
     if not answer:
         return False, None
-    m1, m2 = _normal_basis(g, v1), _normal_basis(g, v2)
-    # M^{-1} x = sum_i (m_{partner(i)} . x) e_i, the partner of column i
-    # being column i + g or i - g; m1[i - g] indexes exactly that.
-    return True, tuple(
-        apply_map(m2, sum(_standard_pair(g, m1[i - g], 1 << k) << i for i in range(2 * g)))
-        for k in range(2 * g)
-    )
+    # e_k.w = d_k asks for d with its two halves swapped
+    d = v1 ^ v2
+    w = d >> g | (d & ((1 << g) - 1)) << g
+    return True, tuple(1 << k ^ (w if d >> k & 1 else 0) for k in range(2 * g))
 
 
 def random_symplectic(g: int, rng) -> tuple[int, ...]:

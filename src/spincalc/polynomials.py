@@ -19,8 +19,12 @@ class IntPolynomial:
         if isinstance(gens, str):
             raise DomainError(f"generators {gens!r} are a string, not a tuple of names")
         self.gens = tuple(gens)
+        if not all(isinstance(g, str) and g for g in self.gens):
+            raise DomainError(f"generator names {self.gens} are not nonempty strings")
         if len(set(self.gens)) != len(self.gens):
             raise DomainError(f"generator names repeat in {self.gens}")
+        if not isinstance(terms, dict):
+            raise TypeError(f"terms {terms!r} are not a dict")
         clean: dict[tuple, int] = {}
         for expo, coeff in terms.items():
             expo = tuple(expo)
@@ -133,8 +137,10 @@ class IntPolynomial:
         Every generator that actually occurs must be mapped; an image is an
         IntPolynomial or an int, and anything else raises TypeError.
         """
-        result = IntPolynomial.zero(target_gens)  # refuses a string of names
+        result = IntPolynomial.zero(target_gens)  # checks the names
         target_gens = result.gens
+        if not isinstance(mapping, dict):
+            raise TypeError(f"mapping {mapping!r} is not a dict")
         images: dict[str, IntPolynomial] = {}
         for name, value in mapping.items():
             if type(value) is int:

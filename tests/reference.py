@@ -59,6 +59,18 @@ def form_values_by_masks(g, basis_values):
     return table
 
 
+def apply_map(cols: tuple[int, ...], x: int) -> int:
+    """Image of x under the linear map whose i-th column is cols[i]."""
+    out = 0
+    i = 0
+    while x:
+        if x & 1:
+            out ^= cols[i]
+        x >>= 1
+        i += 1
+    return out
+
+
 def is_symplectic(g: int, cols: tuple[int, ...]) -> bool:
     """Does the map preserve the standard pairing on all basis pairs."""
     pair = partial(gram_pair, standard_gram(g))

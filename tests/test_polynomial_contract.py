@@ -121,6 +121,13 @@ def test_generator_names_must_not_repeat():
         IntPolynomial("c2", {(1, 0): 3})
     with pytest.raises(DomainError):
         X.substitute("uv", {"x": 1})
+    # a name is a nonempty string: 1 cannot render, and "" renders 2*x as "2*"
+    with pytest.raises(DomainError):
+        IntPolynomial((1,), {(1,): 1})
+    with pytest.raises(DomainError):
+        IntPolynomial(("",), {(1,): 2})
+    with pytest.raises(DomainError):
+        X.substitute((1,), {"x": 1})
 
 
 @pytest.mark.parametrize(

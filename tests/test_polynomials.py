@@ -37,6 +37,9 @@ def test_constructor_validation():
         IntPolynomial(GENS, {(1, 0): 1.5})
     with pytest.raises(DomainError):
         IntPolynomial.generator(GENS, "z")
+    # the terms are a dict, not a list of pairs
+    with pytest.raises(TypeError):
+        IntPolynomial(("x",), [((1,), 1)])
 
 
 def test_ring_arithmetic():
@@ -124,6 +127,9 @@ def test_substitute():
     for bad in (2.0, "3", None, True):
         with pytest.raises(TypeError):
             q.substitute(target, {"x": bad})
+    # and the mapping is a dict, not a list of pairs
+    with pytest.raises(TypeError):
+        p.substitute(target, [("x", 1)])
 
 
 def test_substitute_accepts_integers():
